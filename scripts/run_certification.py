@@ -10,7 +10,6 @@ verdict is VIOLATED.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -54,9 +53,7 @@ def main() -> int:
             bad += 1
         if args.json_dir:
             args.json_dir.mkdir(parents=True, exist_ok=True)
-            path = args.json_dir / f"{name}-{param}.json"
-            with open(path, "w") as fh:
-                json.dump(r.to_json_dict(), fh, indent=2, sort_keys=True)
+            certify.report_to_json(r, args.json_dir / f"{name}-{param}.json")
     print(f"total wall time {time.perf_counter() - t0:.1f}s, "
           f"{bad} violation(s)")
     return 2 if bad else 0

@@ -439,7 +439,7 @@ class PendantReport:
         return all(c.margin > 0 for c in self.cases)
 
 
-def lemma42_check(a: int, b: int, tol: float = spectra.DEFAULT_TOL) -> PendantReport:
+def lemma42_check(a: int, b: int) -> PendantReport:
     """For each of the 7 pendant attachments to S_3(K_{a,b}) (m = ab + 4),
     compare the spectral radius against gamma(m)."""
     if a < 2 or b < 2:
@@ -449,7 +449,7 @@ def lemma42_check(a: int, b: int, tol: float = spectra.DEFAULT_TOL) -> PendantRe
     rows = []
     for case in sorted(PENDANT_SITES):
         g = pendant_case_graph(a, b, case)
-        lam = spectra.spectral_radius(g, tol)
+        lam = spectra.spectral_radius(g)
         rows.append(PendantCase(
             case=case,
             site=PENDANT_SITES[case],

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Iterator
 
 from . import bounds
 from . import spectra
@@ -248,8 +249,24 @@ def graphs_on_vertices(n: int, triangle_free: bool = True) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
+class _JsonReport:
+    """JSON round-trip derived from the dataclass fields: tuples are written
+    as lists and read back as tuples."""
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        return cls(**{
+            f.name: tuple(d[f.name]) if isinstance(d[f.name], list)
+            else d[f.name]
+            for f in fields(cls)
+        })
+
+
 @dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(_JsonReport):
     theorem: str
     m: int
     filter: str
@@ -261,37 +278,6 @@ class CertificationReport:
     wall_time: float
     counterexamples: tuple[str, ...] = ()
     conjecture: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "m": self.m,
-            "filter": self.filter,
-            "graphs_examined": self.graphs_examined,
-            "max_lambda": self.max_lambda,
-            "bound": self.bound,
-            "maximizers": list(self.maximizers),
-            "verdict": self.verdict,
-            "wall_time": self.wall_time,
-            "counterexamples": list(self.counterexamples),
-            "conjecture": self.conjecture,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CertificationReport":
-        return cls(
-            theorem=d["theorem"],
-            m=d["m"],
-            filter=d["filter"],
-            graphs_examined=d["graphs_examined"],
-            max_lambda=d["max_lambda"],
-            bound=d["bound"],
-            maximizers=tuple(d["maximizers"]),
-            verdict=d["verdict"],
-            wall_time=d["wall_time"],
-            counterexamples=tuple(d["counterexamples"]),
-            conjecture=d["conjecture"],
-        )
 
     def render_text(self) -> str:
         tag = "CONJECTURE " if self.conjecture else ""
@@ -311,7 +297,8 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def report_to_json(report: CertificationReport, path: str) -> None:
+def report_to_json(report: CertificationReport | BooksizeReport,
+                   path: str | os.PathLike) -> None:
     with open(path, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -322,44 +309,17 @@ def report_to_json(report: CertificationReport, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _quantity_chunk(args) -> list[float]:
-    tag, tol, glist = args
-    out = []
-    for n, edges in glist:
-        g = Graph(n, edges)
-        if tag == "lambda":
-            out.append(spectra.spectral_radius(g, tol))
-        elif tag == "l1sq+l2sq":
-            out.append(spectra.top_two_squares(g, tol))
-        else:
-            raise ValueError(f"unknown quantity {tag}")
-    return out
-
-
-def _quantities(graphs: list[Graph], tag: str, jobs: int,
-                tol: float = spectra.DEFAULT_TOL) -> list[float]:
-    if jobs > 1 and len(graphs) >= 4 * jobs:
-        payload = [(g.n, g.edges) for g in graphs]
-        size = max(1, len(payload) // (4 * jobs))
-        out: list[float] = []
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for block in ex.map(_quantity_chunk,
-                                [(tag, tol, c) for c in _chunks(payload, size)]):
-                out.extend(block)
-        return out
-    return _quantity_chunk((tag, tol, [(g.n, g.edges) for g in graphs]))
-
-
 def _canon_g6(g: Graph) -> str:
     return to_graph6(canonical_graph(g))
 
 
 def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
-                    expected_equality: set[str], tag: str, jobs: int,
+                    expected_equality: set[str],
+                    quantity: Callable[[Graph], float], jobs: int,
                     conjecture: bool = False) -> CertificationReport:
     start = time.perf_counter()
     graphs = list(enumerate_graphs(m, filt, jobs))
-    vals = _quantities(graphs, tag, jobs)
+    vals = [quantity(g) for g in graphs]
     if graphs:
         max_val = max(vals)
         maximizers = sorted(
@@ -418,7 +378,7 @@ def certify_nosal(m: int, jobs: int = 1) -> CertificationReport:
     complete bipartite graphs."""
     return _lambda_certify(
         "nosal", m, ClassFilter(triangle_free=True), math.sqrt(m),
-        _nosal_equality(m), "lambda", jobs,
+        _nosal_equality(m), spectra.spectral_radius, jobs,
     )
 
 
@@ -466,7 +426,7 @@ def certify_lnw_sum(m: int, jobs: int = 1) -> CertificationReport:
         raise GraphError("needs m >= 2 (K2 alone has lambda_2 = -1)")
     return _lambda_certify(
         "lnw", m, ClassFilter(triangle_free=True), float(m),
-        _blowup_equality(m), "l1sq+l2sq", jobs,
+        _blowup_equality(m), spectra.top_two_squares, jobs,
     )
 
 
@@ -476,7 +436,7 @@ def certify_thm15(m: int, jobs: int = 1) -> CertificationReport:
     filt = ClassFilter(triangle_free=True, non_bipartite=True)
     expected = {_canon_g6(sk(2, 2))} if m == 5 else set()
     return _lambda_certify("thm15", m, filt, math.sqrt(m - 1), expected,
-                           "lambda", jobs)
+                           spectra.spectral_radius, jobs)
 
 
 def certify_zhai_shu(m: int, jobs: int = 1) -> CertificationReport:
@@ -487,7 +447,7 @@ def certify_zhai_shu(m: int, jobs: int = 1) -> CertificationReport:
     filt = ClassFilter(triangle_free=True, non_bipartite=True)
     expected = {_canon_g6(sk(2, (m - 1) // 2))} if m % 2 == 1 else set()
     return _lambda_certify("zhai-shu", m, filt, bounds.beta(m), expected,
-                           "lambda", jobs)
+                           spectra.spectral_radius, jobs)
 
 
 def certify_main(m: int, jobs: int = 1) -> CertificationReport:
@@ -498,7 +458,7 @@ def certify_main(m: int, jobs: int = 1) -> CertificationReport:
     filt = ClassFilter(triangle_free=True, c5_free=True, non_bipartite=True)
     expected = {_canon_g6(s_odd(2, (m - 3) // 2, 2))} if m % 2 == 1 else set()
     return _lambda_certify("main", m, filt, bounds.gamma(m), expected,
-                           "lambda", jobs)
+                           spectra.spectral_radius, jobs)
 
 
 def certify_conj51(m: int, k: int, jobs: int = 1) -> CertificationReport:
@@ -512,7 +472,7 @@ def certify_conj51(m: int, k: int, jobs: int = 1) -> CertificationReport:
     bound = spectra.spectral_radius(extremal)
     filt = ClassFilter(non_bipartite=True, odd_girth_min=2 * k + 3)
     return _lambda_certify(f"conj51[k={k}]", m, filt, bound,
-                           {_canon_g6(extremal)}, "lambda", jobs,
+                           {_canon_g6(extremal)}, spectra.spectral_radius, jobs,
                            conjecture=True)
 
 
@@ -595,7 +555,7 @@ class BooksizeRow:
 
 
 @dataclass(frozen=True)
-class BooksizeReport:
+class BooksizeReport(_JsonReport):
     m: int
     graphs_examined: int
     rows: tuple[BooksizeRow, ...]
@@ -605,37 +565,10 @@ class BooksizeReport:
     nikiforov_ok: bool
     wall_time: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "graphs_examined": self.graphs_examined,
-            "rows": [
-                {"graph6": r.graph6, "spectral_radius": r.spectral_radius,
-                 "booksize": r.booksize}
-                for r in self.rows
-            ],
-            "min_booksize": self.min_booksize,
-            "min_ratio": self.min_ratio,
-            "nikiforov_floor": self.nikiforov_floor,
-            "nikiforov_ok": self.nikiforov_ok,
-            "wall_time": self.wall_time,
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "BooksizeReport":
-        return cls(
-            m=d["m"],
-            graphs_examined=d["graphs_examined"],
-            rows=tuple(
-                BooksizeRow(r["graph6"], r["spectral_radius"], r["booksize"])
-                for r in d["rows"]
-            ),
-            min_booksize=d["min_booksize"],
-            min_ratio=d["min_ratio"],
-            nikiforov_floor=d["nikiforov_floor"],
-            nikiforov_ok=d["nikiforov_ok"],
-            wall_time=d["wall_time"],
-        )
+        return super().from_json_dict(
+            {**d, "rows": [BooksizeRow(**r) for r in d["rows"]]})
 
     def render_text(self) -> str:
         lines = [
@@ -660,7 +593,7 @@ def explore_booksize(m: int, jobs: int = 1) -> BooksizeReport:
     lambda >= sqrt(m), its booksize, and the worst bk/sqrt(m) ratio."""
     start = time.perf_counter()
     graphs = list(enumerate_graphs(m, ClassFilter(), jobs))
-    vals = _quantities(graphs, "lambda", jobs)
+    vals = [spectra.spectral_radius(g) for g in graphs]
     cut = math.sqrt(m) - 1e-9
     rows = []
     for g, lam in zip(graphs, vals):

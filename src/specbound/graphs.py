@@ -440,10 +440,6 @@ def _edge_on_c5(g: Graph, u: int, v: int) -> bool:
     return False
 
 
-def edge_count(g: Graph) -> int:
-    return g.m
-
-
 def booksize(g: Graph) -> int:
     """Maximum number of triangles sharing a common edge; 0 iff triangle-free."""
     best = 0
@@ -646,10 +642,6 @@ def canonical_graph(g: Graph) -> Graph:
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: the graph6 encoding of the canonical relabeling."""
     return to_graph6(canonical_graph(g)).encode("ascii")
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and g.m == h.m and canonical_form(g) == canonical_form(h)
 
 
 # ---------------------------------------------------------------------------

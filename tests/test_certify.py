@@ -134,8 +134,8 @@ class TestEnumeration:
     def test_parallel_levels_match_serial(self):
         serial = [canon6(g) for g in
                   enumerate_graphs(6, ClassFilter(c5_free=True))]
-        # separate filter object, fresh lane in cache is already built; use
-        # jobs on the quantity path too via certify below
+        # the serial call above cached the levels for this prune key, so
+        # jobs=2 reads that cache and does not start the enumeration pool
         parallel = [canon6(g) for g in
                     enumerate_graphs(6, ClassFilter(c5_free=True), jobs=2)]
         assert serial == parallel
@@ -376,7 +376,7 @@ class TestReports:
         # a deliberately wrong bound must produce a counterexample
         r = _lambda_certify(
             "synthetic", 5, ClassFilter(triangle_free=True), 1.5, set(),
-            "lambda", 1,
+            spectra.spectral_radius, 1,
         )
         assert r.verdict == "VIOLATED"
         assert r.counterexamples
@@ -385,7 +385,7 @@ class TestReports:
         # correct bound but wrong expected equality set: VIOLATED
         r = _lambda_certify(
             "synthetic", 4, ClassFilter(triangle_free=True), 2.0,
-            {canon6(complete_bipartite(1, 4))}, "lambda", 1,
+            {canon6(complete_bipartite(1, 4))}, spectra.spectral_radius, 1,
         )
         assert r.verdict == "VIOLATED"
         assert canon6(complete_bipartite(2, 2)) in r.counterexamples

@@ -82,15 +82,34 @@ class TestEigenvalues:
         s = eigenvalues(pattern(PatternId.T2))
         assert 0 <= s.tol <= 1e-10
 
+    def test_residual_certificate_bounds_exact_spectra(self):
+        # Kahan: with orthonormal eigenvectors each sorted eigenvalue lies
+        # within sqrt(n) * max column residual of the exact one; the second
+        # term covers rounding in the computed eigenvectors' orthonormality
+        cases = [
+            (path(n), [2 * math.cos(k * math.pi / (n + 1))
+                       for k in range(1, n + 1)])
+            for n in range(2, 33)
+        ]
+        for s, t in ((1, 1), (1, 6), (2, 3), (3, 3), (4, 5)):
+            r = math.sqrt(s * t)
+            cases.append((complete_bipartite(s, t),
+                          [r] + [0.0] * (s + t - 2) + [-r]))
+        for g, exact in cases:
+            spec = eigenvalues(g)
+            slack = (math.sqrt(g.n) * spec.abs_residual_bound()
+                     + 1e-12 * max(1.0, math.sqrt(2 * g.m)))
+            assert spec.n == g.n
+            for got, want in zip(spec.values, sorted(exact, reverse=True)):
+                assert abs(got - want) <= slack, (g.n, g.edges, got, want)
+
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            eigenvalues(cycle(4), tol=0.5)
         with pytest.raises(GraphError):
             eigenvalues(Graph(0, ()))
 
     def test_determinism(self):
-        a = eigenvalues(pattern(PatternId.T4), tol=1e-9)
-        b = eigenvalues(pattern(PatternId.T4), tol=1e-9)
+        a = eigenvalues(pattern(PatternId.T4))
+        b = eigenvalues(pattern(PatternId.T4))
         assert a.values == b.values
 
     def test_union_spectrum_is_multiset_union(self):
