@@ -1,11 +1,17 @@
 """Exhaustive enumeration of small graphs up to isomorphism and desk-scale
 certification of the spectral extremal theorems.
 
-Edge-indexed enumeration grows graphs one edge at a time (no isolated
-vertices ever appear), deduplicating by canonical form; hereditary class
-constraints (triangle-free, C5-free, bounded odd girth) prune during growth,
-non-hereditary ones (connected, non-bipartite) filter at the end.  Mantel and
-Erdos checks use a separate vertex-indexed enumeration.
+Both enumerations use canonical augmentation (B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): a graph is accepted only from its
+canonical parent, the graph left by deleting its canonical last piece, so each
+isomorphism class is generated once and the parents of a level are
+independent shards.  The edge-indexed enumeration adds one edge at a time (no
+isolated vertices ever appear); hereditary class constraints (triangle-free,
+C5-free, bounded odd girth) prune during growth, non-hereditary ones
+(connected, non-bipartite) filter at the end.  Mantel and Erdos checks use
+the vertex-indexed enumeration, which adds one vertex at a time.  The tests
+compare both with a reference generator that deduplicates every augmentation
+by canonical form.
 """
 
 from __future__ import annotations
@@ -16,11 +22,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import bounds
 from . import spectra
 from .graphs import (
+    Edge,
     Graph,
     GraphError,
     canonical_form,
@@ -96,12 +104,80 @@ class ClassFilter:
 
 
 # ---------------------------------------------------------------------------
+# canonical augmentation
+# ---------------------------------------------------------------------------
+
+_Piece = TypeVar("_Piece")
+
+
+def _children(parents: Iterable[tuple[bytes, Graph]],
+              augment: Callable[[Graph], Iterable[tuple[int, tuple, _Piece]]],
+              ranks: Callable[[int, tuple], dict[_Piece, tuple]],
+              delete: Callable[[Graph, _Piece], Graph]
+              ) -> list[tuple[bytes, Graph]]:
+    """(canonical form, h) for every child h = g + piece of the given
+    (canonical form, g) parents whose canonical parent is g.
+
+    `augment(g)` yields (n, edges, piece) for every h; `ranks(n, edges)`
+    maps each piece of h to an isomorphism invariant, and `delete(h, f)` is
+    the graph left by removing piece f.  The canonical parent of h is the
+    greatest canonical form among the deletions of its least-ranked pieces,
+    so h is kept only when the piece just added is least-ranked and no tied
+    piece leaves a greater parent.  Two qualifying pieces may lie in
+    different orbits, so the children of one parent are also deduplicated
+    by canonical form.
+    """
+    out: list[tuple[bytes, Graph]] = []
+    for parent_key, g in parents:
+        kids: dict[bytes, Graph] = {}
+        for n, edges, piece in augment(g):
+            rank = ranks(n, edges)
+            least = min(rank.values())
+            if rank[piece] != least:
+                continue
+            h = Graph(n, edges)
+            if any(r == least and f != piece
+                   and canonical_form(delete(h, f)) > parent_key
+                   for f, r in rank.items()):
+                continue
+            kids.setdefault(canonical_form(h), h)
+        out.extend(kids.items())
+    return out
+
+
+def _union(kids: Iterable[tuple[bytes, Graph]]) -> dict[bytes, Graph]:
+    """One level from its parents' children, in canonical-form order."""
+    level: dict[bytes, Graph] = {}
+    for cform, h in kids:
+        if cform in level:
+            # every class has exactly one canonical parent
+            raise RuntimeError(f"class {cform.decode()} came from two parents")
+        level[cform] = h
+    return dict(sorted(level.items()))
+
+
+def _vertex_invariants(n: int, edges: tuple) -> list[tuple[int, int]]:
+    """(degree, sum of neighbour degrees) of every vertex."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    nds = [0] * n
+    for u, v in edges:
+        nds[u] += deg[v]
+        nds[v] += deg[u]
+    return list(zip(deg, nds))
+
+
+# ---------------------------------------------------------------------------
 # edge-indexed enumeration
 # ---------------------------------------------------------------------------
 
 _PruneKey = tuple[bool, bool, int | None]
 
-# prune key -> levels; levels[k] maps canonical form -> graph with k edges
+# prune key -> levels; levels[k] maps canonical form -> graph with k edges,
+# in canonical-form order.  Level k is the union of the children that each
+# class of level k-1 accepts as their canonical parent.
 _LEVELS: dict[_PruneKey, list[dict[bytes, Graph]]] = {}
 
 
@@ -132,27 +208,35 @@ def _edge_allowed(g: Graph, u: int, v: int, key: _PruneKey) -> bool:
     return True
 
 
-def _augmentations(g: Graph, key: _PruneKey) -> list[Graph]:
-    out = []
+def _edge_augmentations(g: Graph, key: _PruneKey
+                        ) -> Iterator[tuple[int, tuple, Edge]]:
     n = g.n
     for u in range(n):
         for v in range(u + 1, n):
             if not g.has_edge(u, v) and _edge_allowed(g, u, v, key):
-                out.append(Graph(n, g.edges + ((u, v),)))
+                yield n, g.edges + ((u, v),), (u, v)
     for u in range(n):
-        out.append(Graph(n + 1, g.edges + ((u, n),)))
-    out.append(Graph(n + 2, g.edges + ((n, n + 1),)))
-    return out
+        yield n + 1, g.edges + ((u, n),), (u, n)
+    yield n + 2, g.edges + ((n, n + 1),), (n, n + 1)
 
 
-def _augment_chunk(args) -> list[tuple[bytes, int, tuple]]:
-    key, glist = args
-    out = []
-    for n, edges in glist:
-        g = Graph(n, edges)
-        for h in _augmentations(g, key):
-            out.append((canonical_form(h), h.n, h.edges))
-    return out
+def _edge_ranks(n: int, edges: tuple) -> dict[Edge, tuple]:
+    inv = _vertex_invariants(n, edges)
+    return {(u, v): (min(inv[u], inv[v]), max(inv[u], inv[v]))
+            for u, v in edges}
+
+
+def _drop_edge(h: Graph, e: Edge) -> Graph:
+    """h - e without the isolated vertices it leaves."""
+    rest = Graph(h.n, tuple(f for f in h.edges if f != e))
+    return rest.induced(v for v in range(h.n) if rest.mask(v))
+
+
+def _edge_children(args: tuple[_PruneKey, list[tuple[bytes, Graph]]]
+                   ) -> list[tuple[bytes, Graph]]:
+    key, parents = args
+    return _children(parents, lambda g: _edge_augmentations(g, key),
+                     _edge_ranks, _drop_edge)
 
 
 def _chunks(items: list, size: int) -> list[list]:
@@ -165,25 +249,15 @@ def _levels_up_to(m: int, key: _PruneKey, jobs: int = 1) -> list[dict[bytes, Gra
         {canonical_form(path(2)): path(2)},
     ])
     while len(levels) <= m:
-        prev = levels[-1]
-        parents = [prev[c] for c in sorted(prev)]
-        merged: dict[bytes, Graph] = {}
+        parents = list(levels[-1].items())
         if jobs > 1 and len(parents) >= 4 * jobs:
-            payload = [(g.n, g.edges) for g in parents]
+            size = max(1, len(parents) // (4 * jobs))
             with ProcessPoolExecutor(max_workers=jobs) as ex:
-                size = max(1, len(payload) // (4 * jobs))
-                for block in ex.map(_augment_chunk,
-                                    [(key, c) for c in _chunks(payload, size)]):
-                    for cform, n, edges in block:
-                        if cform not in merged:
-                            merged[cform] = Graph(n, edges)
+                blocks = list(ex.map(_edge_children,
+                                     [(key, c) for c in _chunks(parents, size)]))
         else:
-            for g in parents:
-                for h in _augmentations(g, key):
-                    cform = canonical_form(h)
-                    if cform not in merged:
-                        merged[cform] = h
-        levels.append({c: merged[c] for c in sorted(merged)})
+            blocks = [_edge_children((key, parents))]
+        levels.append(_union(chain.from_iterable(blocks)))
     return levels
 
 
@@ -196,8 +270,7 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
     if m > EDGE_BUDGET:
         raise BudgetError(f"edge budget is m <= {EDGE_BUDGET}")
     levels = _levels_up_to(m, _prune_key(filt), jobs)
-    for cform in sorted(levels[m]):
-        g = levels[m][cform]
+    for g in levels[m].values():
         if filt.admits(g):
             yield g
 
@@ -206,7 +279,27 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
 # vertex-indexed enumeration (Mantel / Erdos)
 # ---------------------------------------------------------------------------
 
+# triangle_free -> levels; levels[k] maps canonical form -> graph on k
+# vertices, grown like _LEVELS with the last vertex as the piece
 _VERTEX_LEVELS: dict[bool, list[dict[bytes, Graph]]] = {}
+
+
+def _vertex_augmentations(g: Graph, triangle_free: bool
+                          ) -> Iterator[tuple[int, tuple, int]]:
+    k = g.n
+    for nb in range(1 << k):
+        new = [v for v in range(k) if nb >> v & 1]
+        if triangle_free and any(g.mask(v) & nb for v in new):
+            continue
+        yield k + 1, g.edges + tuple((v, k) for v in new), k
+
+
+def _vertex_ranks(n: int, edges: tuple) -> dict[int, tuple]:
+    return dict(enumerate(_vertex_invariants(n, edges)))
+
+
+def _drop_vertex(h: Graph, v: int) -> Graph:
+    return h.induced(w for w in range(h.n) if w != v)
 
 
 def graphs_on_vertices(n: int, triangle_free: bool = True) -> list[Graph]:
@@ -220,28 +313,11 @@ def graphs_on_vertices(n: int, triangle_free: bool = True) -> list[Graph]:
         triangle_free, [{}, {canonical_form(Graph(1, ())): Graph(1, ())}]
     )
     while len(levels) <= n:
-        k = len(levels) - 1
-        merged: dict[bytes, Graph] = {}
-        for g in levels[-1].values():
-            for nb in range(1 << k):
-                if triangle_free:
-                    ok = True
-                    probe = nb
-                    while probe:
-                        v = (probe & -probe).bit_length() - 1
-                        probe &= probe - 1
-                        if g.mask(v) & nb:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                extra = tuple((v, k) for v in range(k) if nb >> v & 1)
-                h = Graph(k + 1, g.edges + extra)
-                cform = canonical_form(h)
-                if cform not in merged:
-                    merged[cform] = h
-        levels.append({c: merged[c] for c in sorted(merged)})
-    return [levels[n][c] for c in sorted(levels[n])]
+        levels.append(_union(_children(
+            levels[-1].items(),
+            lambda g: _vertex_augmentations(g, triangle_free),
+            _vertex_ranks, _drop_vertex)))
+    return list(levels[n].values())
 
 
 # ---------------------------------------------------------------------------

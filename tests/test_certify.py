@@ -5,7 +5,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from specbound import bounds, spectra
+from specbound import bounds, certify, spectra
 from specbound.certify import (
     BudgetError,
     CertificationReport,
@@ -135,14 +135,56 @@ class TestEnumeration:
         serial = [canon6(g) for g in
                   enumerate_graphs(6, ClassFilter(c5_free=True))]
         # the serial call above cached the levels for this prune key, so
-        # jobs=2 reads that cache and does not start the enumeration pool
+        # jobs=2 reads that cache; test_pool_levels_match_serial starts the
+        # enumeration pool on levels that are not cached yet
         parallel = [canon6(g) for g in
                     enumerate_graphs(6, ClassFilter(c5_free=True), jobs=2)]
         assert serial == parallel
 
+    def test_pool_levels_match_serial(self, monkeypatch):
+        key = (True, False, None)
+        real = certify.ProcessPoolExecutor
+        starts = []
+
+        def counting_pool(*args, **kwargs):
+            starts.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(certify, "_LEVELS", {})
+        pooled = certify._levels_up_to(7, key, jobs=2)
+        monkeypatch.setattr(certify, "_LEVELS", {})
+        serial = certify._levels_up_to(7, key)
+        assert starts
+        assert pooled == serial
+
+    def test_class_from_two_parents_is_an_error(self):
+        g = path(3)
+        with pytest.raises(RuntimeError, match="two parents"):
+            certify._union([(canonical_form(g), g), (canonical_form(g), g)])
+
+    def test_canonical_form_calls_per_class(self, monkeypatch):
+        # the acceptance rule labels each class about 2.5 times (the class
+        # itself plus tied deletions); labelling every augmentation would
+        # cost about 12.5
+        real = certify.canonical_form
+        calls = []
+
+        def counting_form(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(certify, "canonical_form", counting_form)
+        monkeypatch.setattr(certify, "_LEVELS", {})
+        list(enumerate_graphs(9, ClassFilter(triangle_free=True)))
+        classes = sum(map(len, certify._LEVELS[(True, False, None)]))
+        assert len(calls) <= 4 * classes
+
     def test_m7_counts_against_vertex_growth(self):
-        # dual-method completeness: the edge-indexed enumerator restricted to
-        # n <= 8 must agree with the vertex-indexed one on 8 vertices
+        # the edge-indexed enumerator restricted to n <= 8 must agree with
+        # the vertex-indexed one on 8 vertices (the same acceptance rule
+        # over different pieces; tests/test_enumeration_oracle.py checks
+        # both against dictionary deduplication)
         by_vertices = 0
         for n in range(2, 9):
             for g in graphs_on_vertices(n, triangle_free=False):
