@@ -182,7 +182,14 @@ _LEVELS: dict[_PruneKey, list[dict[bytes, Graph]]] = {}
 
 
 def _prune_key(f: ClassFilter) -> _PruneKey:
-    return (f.triangle_free, f.c5_free, f.odd_girth_min)
+    """One key per pruned class, so equal classes share their levels.  Odd
+    girth >= g forbids the odd cycles shorter than g: g >= 5 is triangle-free
+    and g >= 7 is also C5-free.  From g = 9 (rounded up to odd) the walk test
+    alone forbids C3 and C5 as well."""
+    g = (f.odd_girth_min or 0) | 1
+    if g >= 9:
+        return (False, False, g)
+    return (f.triangle_free or g >= 5, f.c5_free or g >= 7, None)
 
 
 def _edge_allowed(g: Graph, u: int, v: int, key: _PruneKey) -> bool:

@@ -3,10 +3,14 @@
 Spectra come from one LAPACK call (`numpy.linalg.eigh`) per graph.  Each
 spectrum carries a residual certificate computed from the returned
 eigenvectors, max ||A v - lambda v|| / ||A||_F, so every float eigenvalue
-comes with an error bound that callers can check.  Characteristic
-polynomials are computed exactly over Python integers via the
-Faddeev-LeVerrier recurrence, because the factorization identities
-downstream must hold with zero tolerance.
+comes with an error bound that callers can check.
+
+Characteristic polynomials are exact, because the factorization identities
+downstream must hold with zero tolerance.  The Faddeev-LeVerrier recurrence
+runs in int64 numpy arrays modulo a few fixed primes, all of them at once.
+Every coefficient is bounded by (1 + max degree)^n, so enough primes are
+taken that their product exceeds twice that bound, and the Chinese
+remainder theorem then recovers each coefficient exactly.
 """
 
 from __future__ import annotations
@@ -109,34 +113,64 @@ class CharPoly:
         return acc
 
 
+# Primes below 2**57, so a 0/1 matrix times residues below p sums to at
+# most CHARPOLY_MAX_N * (p - 1) < 2**62 and int64 never overflows; each
+# exceeds CHARPOLY_MAX_N, so every k <= n is invertible mod p.  Their product
+# exceeds 2 * 32**32, the coefficient bound at n = 32 and max degree 31.
+_PRIMES = (144115188075855859, 144115188075855847, 144115188075855823)
+
+
+def _moduli(bound: int) -> tuple[int, ...]:
+    """The fewest leading primes whose product exceeds 2 * bound."""
+    prod = 1
+    for r, p in enumerate(_PRIMES, 1):
+        prod *= p
+        if prod > 2 * bound:
+            return _PRIMES[:r]
+    raise ArithmeticError(f"primes too few for coefficients up to {bound}")
+
+
+def _crt(residues: list[list[int]], primes: tuple[int, ...]) -> list[int]:
+    """For each list of residues mod `primes`, the integer of least absolute
+    value that has them."""
+    prod = math.prod(primes)
+    weights = [prod // p * pow(prod // p, -1, p) for p in primes]
+    out = []
+    for rs in residues:
+        x = sum(r * w for r, w in zip(rs, weights)) % prod
+        out.append(x - prod if x > prod // 2 else x)
+    return out
+
+
 def char_poly(g: Graph) -> CharPoly:
-    """Faddeev-LeVerrier recurrence over exact integers (divisions exact)."""
+    """Exact det(xI - A) by Faddeev-LeVerrier modulo primes.
+
+    M_1 = A, M_k = A (M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k) / k, run
+    for all primes in one (r, n, n) int64 array; division by k is
+    multiplication by its inverse mod p.  The coefficients are those of
+    prod (x - lambda_i) with |lambda_i| <= max degree D, so |c_k| <=
+    (1 + D)^n, and residues modulo primes whose product exceeds twice that
+    determine each c_k by the Chinese remainder theorem.
+    """
     n = g.n
     if n > CHARPOLY_MAX_N:
         raise SizeLimitError(f"char_poly limited to n <= {CHARPOLY_MAX_N}")
     if n == 0:
         return CharPoly((1,))
-    a = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        a[u][v] = a[v][u] = 1
-    c = [0] * (n + 1)
-    c[n] = 1
-    mk = [row[:] for row in a]  # M_1 = A
+    primes = _moduli((1 + max(g.degree(v) for v in range(n))) ** n)
+    mods = np.array(primes, dtype=np.int64)[:, None, None]
+    a = adjacency_matrix(g).astype(np.int64)
+    diag = np.arange(n)
+    mk = np.repeat(a[None], len(primes), axis=0)  # M_1 = A
+    residues = [[1] * len(primes)]  # c_n, c_{n-1}, ..., c_0
     for k in range(1, n + 1):
         if k > 1:
-            shift = c[n - k + 1]
-            b = [[mk[i][j] + (shift if i == j else 0) for j in range(n)]
-                 for i in range(n)]
-            mk = [
-                [sum(a[i][l] * b[l][j] for l in range(n) if a[i][l])
-                 for j in range(n)]
-                for i in range(n)
-            ]
-        tr = sum(mk[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
-        c[n - k] = q
-    return CharPoly(tuple(c))
+            mk[:, diag, diag] += np.array(residues[-1], dtype=np.int64)[:, None]
+            mk = a @ (mk % mods) % mods
+        tr = mk.trace(axis1=1, axis2=2)
+        residues.append([-int(t) * pow(k, -1, p) % p
+                         for t, p in zip(tr, primes)])
+    return CharPoly(tuple(_crt(residues[::-1], primes)))
 
 
 # ---------------------------------------------------------------------------

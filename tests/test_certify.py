@@ -107,6 +107,20 @@ class TestEnumeration:
             gb = [canon6(g) for g in enumerate_graphs(m, b)]
             assert ga == gb
 
+    def test_equivalent_filters_share_a_prune_key(self):
+        key = certify._prune_key
+        assert key(ClassFilter(odd_girth_min=5)) == key(
+            ClassFilter(triangle_free=True)) == (True, False, None)
+        assert key(ClassFilter(odd_girth_min=7)) == key(
+            ClassFilter(triangle_free=True, c5_free=True)) == (True, True, None)
+        assert key(ClassFilter(odd_girth_min=3)) == key(ClassFilter())
+        assert key(ClassFilter(odd_girth_min=4)) == key(
+            ClassFilter(triangle_free=True))
+        assert key(ClassFilter(odd_girth_min=8)) == key(
+            ClassFilter(triangle_free=True, odd_girth_min=9)) == (False, False, 9)
+        assert key(ClassFilter(c5_free=True)) != key(
+            ClassFilter(triangle_free=True))
+
     def test_m5_connected_triangle_free_non_bipartite_is_c5(self):
         f = ClassFilter(connected=True, triangle_free=True, non_bipartite=True)
         got = list(enumerate_graphs(5, f))
@@ -388,6 +402,17 @@ class TestConjecture51:
         r2 = certify_main(9)
         assert r1.bound == pytest.approx(r2.bound, abs=1e-8)
         assert r1.maximizers == r2.maximizers
+
+    @pytest.mark.parametrize("k, certifier", [(1, certify_zhai_shu),
+                                              (2, certify_main)])
+    def test_reuses_the_equivalent_theorems_levels(self, monkeypatch, k,
+                                                   certifier):
+        monkeypatch.setattr(certify, "_LEVELS", {})
+        certifier(9)
+        built = {key: len(levels) for key, levels in certify._LEVELS.items()}
+        certify_conj51(9, k)
+        assert {key: len(levels)
+                for key, levels in certify._LEVELS.items()} == built
 
     def test_k3_m9_is_c9(self):
         r = certify_conj51(9, 3)

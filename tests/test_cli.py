@@ -78,6 +78,11 @@ class TestCommands:
         assert code == 0
         assert "x^2 - 1" in out
 
+    def test_charpoly_k16_16(self, capsys):
+        code, out, _ = run(capsys, "charpoly", "--construct", "Kst", "16", "16")
+        assert code == 0
+        assert "det(xI - A) = x^32 - 256x^30\n" in out
+
     def test_bounds_m7(self, capsys):
         code, out, _ = run(capsys, "bounds", "7")
         assert code == 0
