@@ -10,6 +10,13 @@ and are the maximum spectral radii over m-edge triangle-free non-bipartite
 graphs and {C3,C5}-free non-bipartite graphs respectively.  Both come with
 analytic sign-change brackets, which bisection turns into certified
 enclosures; endpoint signs can be re-verified in exact integer arithmetic.
+
+Every sign the bisection acts on is proven.  It is read from the float
+Horner value p^(x) only when |p^(x)| exceeds the rounding bound of Horner's
+rule (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+section 5.1, eq. (5.3)): |p^(x) - p(x)| <= gamma_2d * sum |c_i| |x|^i with
+gamma_2d = 2du / (1 - 2du) and u = 2^-53.  Otherwise the sign is computed
+exactly over the integers.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from . import graphs as G
 from . import spectra
 
 BISECT_WIDTH = 1e-12
-_REL_GUARD = 1e-9  # switch to exact sign when |float value| falls below guard*scale
+_EXACT_INT = 2 ** 53  # integers of smaller magnitude are exact doubles
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class BoundsError(ValueError):
@@ -35,7 +43,7 @@ class BoundsError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntPoly:
     """Dense univariate polynomial with exact int or Fraction coefficients,
     coeffs[i] multiplying x**i."""
@@ -226,7 +234,7 @@ def star_plus_poly(m: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootBracket:
     """Interval certified (by a sign change) to contain the largest real root
     of `poly`.  lo == hi means the root was hit exactly."""
@@ -260,26 +268,52 @@ def _dyadic_sign(coeffs: tuple[int, ...], x: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_at(coeffs_int: tuple[int, ...], x: float, scale: float) -> int:
-    val = 0.0
-    for c in reversed(coeffs_int):
-        val = val * x + c
-    if abs(val) > _REL_GUARD * scale:
-        return 1 if val > 0 else -1
-    return _dyadic_sign(coeffs_int, x)
+def _sign_on(coeffs: tuple[int, ...], lo: float, hi: float):
+    """Return a function giving the exact sign of an integer polynomial at
+    any float x in [lo, hi].
+
+    With r = max(1, |lo|, |hi|) and scale = sum |c_i| r^i, the float Horner
+    value at such an x is within gamma_2d * scale of the exact value
+    (Higham, eq. (5.3)), and guard = 4 (d+1) u * scale exceeds that even
+    after the rounding of scale itself.  A float value beyond the guard
+    decides the sign; anything else is computed exactly.  When a coefficient
+    is not an exact double, or scale might overflow, every sign is exact."""
+    fc: tuple[float, ...] = ()
+    guard = math.inf  # |0.0| > inf never holds: every sign goes exact
+    if all(abs(c) < _EXACT_INT for c in coeffs):
+        r = max(1.0, abs(lo), abs(hi))
+        scale = 0.0
+        for c in reversed(coeffs):
+            scale = scale * r + abs(c)
+        # Horner intermediates stay below about scale, so a finite 2*scale
+        # also rules out overflow in the evaluation.
+        if math.isfinite(2.0 * scale):
+            fc = tuple(float(c) for c in reversed(coeffs))
+            guard = 4 * len(coeffs) * _UNIT_ROUNDOFF * scale
+
+    def sign(x: float) -> int:
+        val = 0.0
+        for c in fc:
+            val = val * x + c
+        if abs(val) > guard:
+            return 1 if val > 0 else -1
+        return _dyadic_sign(coeffs, x)
+
+    return sign
 
 
 def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
                         width: float = BISECT_WIDTH) -> RootBracket:
     """Bisection on a bracket with poly(lo) < 0 <= poly(hi).
 
-    The right end may itself be the root (closed bracket).  Signs near zero
-    are resolved exactly, so an endpoint root is detected, never straddled.
+    The right end may itself be the root (closed bracket).  Every sign is
+    proven: a float Horner value is trusted only beyond Higham's rounding
+    bound for the whole bracket (see `_sign_on`), and computed exactly
+    otherwise, so an endpoint root is detected, never straddled.
     """
-    ic = poly.as_integer()
-    scale = sum(abs(c) * max(1.0, abs(hi)) ** i for i, c in enumerate(ic))
-    s_lo = _sign_at(ic, lo, scale)
-    s_hi = _sign_at(ic, hi, scale)
+    sign = _sign_on(poly.as_integer(), lo, hi)
+    s_lo = sign(lo)
+    s_hi = sign(hi)
     if s_hi == 0:
         return RootBracket(hi, hi, poly, width)
     if not (s_lo < 0 < s_hi):
@@ -292,7 +326,7 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent floats
-        s = _sign_at(ic, mid, scale)
+        s = sign(mid)
         if s == 0:
             return RootBracket(mid, mid, poly, width)
         if s < 0:

@@ -93,12 +93,9 @@ class ClassFilter:
             return False
         if self.c5_free and contains_c5(g):
             return False
-        og = None
-        if self.non_bipartite or self.odd_girth_min:
-            og = odd_girth(g)
-        if self.non_bipartite and og == math.inf:
+        if self.non_bipartite and is_bipartite(g):
             return False
-        if self.odd_girth_min and og < self.odd_girth_min:
+        if self.odd_girth_min and odd_girth(g) < self.odd_girth_min:
             return False
         return True
 

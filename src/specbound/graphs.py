@@ -402,7 +402,28 @@ def odd_girth(g: Graph) -> float:
 
 
 def is_bipartite(g: Graph) -> bool:
-    return odd_girth(g) == math.inf
+    """BFS 2-colouring, one search per component: BFS edges only join equal
+    or adjacent depths, so g is bipartite iff no edge joins two vertices of
+    the same depth (the same BFS layer)."""
+    seen = 0
+    for s in range(g.n):
+        if seen >> s & 1:
+            continue
+        comp = frontier = 1 << s
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                v = (f & -f).bit_length() - 1
+                f &= f - 1
+                mv = g.mask(v)
+                if mv & frontier:
+                    return False
+                nxt |= mv
+            frontier = nxt & ~comp
+            comp |= frontier
+        seen |= comp
+    return True
 
 
 def triangle_count(g: Graph) -> int:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,14 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specbound import spectra
+from specbound import bounds, spectra
 from specbound.bounds import (
+    BISECT_WIDTH,
     BoundsError,
     E_DISPLAYED_CASE,
     IntPoly,
     PENDANT_SITES,
     RootBracket,
     _dyadic_sign,
+    _sign_on,
     beta,
     beta_bracket,
     bisect_largest_root,
@@ -187,6 +191,157 @@ class TestBisection:
             assert rb.value == pytest.approx(lam1, abs=1e-8)
             checked += 1
         assert checked >= 20
+
+
+def exact_bisect(poly: IntPoly, lo: float, hi: float,
+                 width: float = BISECT_WIDTH) -> tuple[float, float]:
+    """Reference for `bisect_largest_root`: the same bisection with every
+    sign computed exactly by `_dyadic_sign`, no float evaluation at all."""
+    ic = poly.as_integer()
+    if _dyadic_sign(ic, hi) == 0:
+        return hi, hi
+    assert _dyadic_sign(ic, lo) < 0 < _dyadic_sign(ic, hi)
+    for _ in range(200):
+        if hi - lo <= width:
+            break
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        s = _dyadic_sign(ic, mid)
+        if s == 0:
+            return mid, mid
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def start_brackets(m: int) -> list:
+    """(bracket function, polynomial, lo, hi) for beta(m) and, from m = 7 on,
+    gamma(m), with the analytic start brackets the library bisects."""
+    out = [(beta_bracket, z_poly(m), math.sqrt(m - 2), math.sqrt(m - 1))]
+    if m >= 7:
+        out.append((gamma_bracket, l_poly(m),
+                    math.sqrt(m - 4), math.sqrt(m - 3)))
+    return out
+
+
+def power_poly(a: int, d: int) -> IntPoly:
+    """(x + a)^d: its float Horner value near -a is all cancellation."""
+    p = IntPoly((1,))
+    for _ in range(d):
+        p = p * IntPoly((a, 1))
+    return p
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The points at which the library evaluates a sign exactly."""
+    calls = []
+
+    def counting(coeffs, x):
+        calls.append(x)
+        return _dyadic_sign(coeffs, x)
+
+    monkeypatch.setattr(bounds, "_dyadic_sign", counting)
+    return calls
+
+
+class TestCertifiedSigns:
+    """Float signs in the bisection are trusted only beyond Higham's Horner
+    rounding bound, so every bracket equals the exact-only bisection's."""
+
+    def test_brackets_match_exact_bisection(self):
+        for m in range(5, 3001):
+            for bracket, poly, lo, hi in start_brackets(m):
+                rb = bracket(m)
+                assert (rb.lo, rb.hi) == exact_bisect(poly, lo, hi), m
+
+    def test_large_m_brackets_match_exact_bisection(self):
+        for m in random.Random(31).sample(range(3001, 10 ** 6 + 1), 200):
+            for bracket, poly, lo, hi in start_brackets(m):
+                rb = bracket(m)
+                assert (rb.lo, rb.hi) == exact_bisect(poly, lo, hi), m
+
+    def test_star_plus_matches_exact_bisection(self):
+        for m in range(3, 201):
+            p = star_plus_poly(m)
+            lo, hi = exact_bisect(p, math.sqrt(m - 1),
+                                  1.0 + max(abs(c) for c in p.coeffs[:-1]))
+            want = hi if lo == hi else 0.5 * (lo + hi)
+            assert star_plus_lambda(m) == want, m
+
+    @pytest.mark.parametrize("poly, root, lo, hi", [
+        (IntPoly((-3, 2, 1)), 1.0, -2.5, 2.0),      # (x + 3)(x - 1)
+        (power_poly(20, 7), -20.0, -20.5, 0.5),
+        (power_poly(10, 9), -10.0, -10.25, 0.5),
+    ])
+    def test_left_end_farther_from_zero(self, poly, root, lo, hi):
+        """|lo| > |hi|: the guard must bound |x| by |lo|, not by |hi|."""
+        ic = poly.as_integer()
+        sign = _sign_on(ic, lo, hi)
+        for k in range(-2000, 2001):
+            x = root + k * 1e-4
+            if lo <= x <= hi:
+                assert sign(x) == _dyadic_sign(ic, x), x
+        rb = bisect_largest_root(poly, lo, hi)
+        assert (rb.lo, rb.hi) == exact_bisect(poly, lo, hi)
+        assert rb.lo <= root <= rb.hi
+        assert rb.verify_signs_exact()
+
+    def test_float_signs_next_to_large_m_brackets(self, exact_calls):
+        """Next to a bracket's ends |p(x)| is as small as the bisection ever
+        sees; every sign the float decides there must be the exact one."""
+        rng = random.Random(37)
+        float_decided = 0
+        for m in rng.sample(range(10 ** 5, 10 ** 6), 40):
+            for bracket, poly, lo, hi in start_brackets(m):
+                rb = bracket(m)
+                ic = poly.as_integer()
+                sign = _sign_on(ic, lo, hi)
+                for end in (rb.lo, rb.hi):
+                    for way in (-math.inf, math.inf):
+                        x = end
+                        for _ in range(64):
+                            x = math.nextafter(x, way)
+                            before = len(exact_calls)
+                            s = sign(x)
+                            if len(exact_calls) == before:
+                                float_decided += 1
+                                assert s == _dyadic_sign(ic, x), (m, x)
+        assert float_decided > 1000
+
+    def test_exact_evaluations_are_rare(self, exact_calls):
+        """At most one exact evaluation per bracket on average (the old
+        1e-9 window needed about 17)."""
+        betas, gammas = range(5, 2001), range(7, 2001)
+        for m in betas:
+            bounds.beta_bracket.__wrapped__(m)  # bypass the bracket cache
+        for m in gammas:
+            bounds.gamma_bracket.__wrapped__(m)
+        assert len(exact_calls) <= len(betas) + len(gammas)
+
+    def test_unrepresentable_coefficients_go_exact(self, exact_calls):
+        # x^2 - 10^400: the constant is no double at all, so every sign
+        # (ends and midpoints alike) must be evaluated exactly
+        p = IntPoly((-10 ** 400, 0, 1))
+        rb = bisect_largest_root(p, 1.0, 1e201)
+        assert (rb.lo, rb.hi) == exact_bisect(p, 1.0, 1e201)
+        assert rb.lo <= 1e200 <= rb.hi
+        assert len(exact_calls) > 50
+        assert rb.verify_signs_exact()
+
+    def test_brackets_survive_pickle_and_deepcopy(self):
+        for obj in (gamma_bracket(101), beta_bracket(64), f_poly(3, 10),
+                    f_poly(4, 13)):
+            for twin in (pickle.loads(pickle.dumps(obj)),
+                         copy.deepcopy(obj)):
+                assert twin == obj
+                assert hash(twin) == hash(obj)
+        assert any(isinstance(c, Fraction) for c in f_poly(4, 13).coeffs)
+        assert not hasattr(gamma_bracket(101), "__dict__")
+        assert not hasattr(f_poly(3, 10), "__dict__")
 
 
 class TestComparisonFunctions:

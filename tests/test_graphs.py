@@ -25,6 +25,7 @@ from specbound.graphs import (
     contains_c5,
     cycle,
     disjoint_union,
+    empty_graph,
     erdos_extremal,
     find_induced,
     from_graph6,
@@ -260,6 +261,25 @@ class TestPredicates:
         nxg = nx.empty_graph(g.n)
         nxg.add_edges_from(g.edges)
         assert is_bipartite(g) == nx.is_bipartite(nxg)
+
+    @given(graphs_st(min_n=0, max_n=10))
+    def test_is_bipartite_matches_odd_girth(self, g):
+        assert is_bipartite(g) == (odd_girth(g) == math.inf)
+
+    def test_is_bipartite_searches_every_component(self):
+        assert is_bipartite(Graph(0, ()))
+        assert is_bipartite(empty_graph(5))
+        # an odd cycle after isolated vertices and a bipartite component
+        g = disjoint_union(disjoint_union(empty_graph(3), path(4)), cycle(5))
+        assert not is_bipartite(g)
+        rng = random.Random(17)
+        for _ in range(300):
+            g = Graph(0, ())
+            for _ in range(rng.randint(1, 4)):
+                part = random_graph(rng, rng.randint(1, 6),
+                                    rng.choice((0.0, 0.3, 0.6)))
+                g = disjoint_union(g, part)
+            assert is_bipartite(g) == (odd_girth(g) == math.inf)
 
     @given(graphs_st(max_n=8))
     def test_triangle_count_agrees_with_networkx(self, g):
