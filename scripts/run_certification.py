@@ -4,9 +4,11 @@
 Usage:
     python scripts/run_certification.py [--jobs N] [--json-dir DIR]
 
-Covers the edge-indexed theorems for every m up to certify.EDGE_BUDGET and
-the vertex-indexed Mantel and Erdos checks for every n up to
-certify.VERTEX_BUDGET.  Exit status is nonzero if any verdict is VIOLATED.
+Covers every edge-indexed theorem for every m up to its class's edge budget
+(certify.edge_budget: nosal and lnw up to certify.EDGE_BUDGET, the
+non-bipartite theorems further) and the vertex-indexed Mantel and Erdos
+checks for every n up to certify.VERTEX_BUDGET.  Exit status is nonzero if
+any verdict is VIOLATED.
 """
 
 import argparse
@@ -23,22 +25,25 @@ def main() -> int:
     ap.add_argument("--json-dir", type=pathlib.Path, default=None)
     args = ap.parse_args()
 
-    top_m = certify.EDGE_BUDGET + 1
+    def top_m(**flags) -> int:
+        return certify.edge_budget(certify.ClassFilter(**flags)) + 1
+
     top_n = certify.VERTEX_BUDGET + 1
     runs = []
-    for m in range(3, top_m):
+    for m in range(3, top_m(triangle_free=True)):
         runs.append(("nosal", m, lambda m=m: certify.certify_nosal(m, args.jobs)))
         runs.append(("lnw", m, lambda m=m: certify.certify_lnw_sum(m, args.jobs)))
-    for m in range(5, top_m):
+    for m in range(5, top_m(triangle_free=True, non_bipartite=True)):
         runs.append(("thm15", m, lambda m=m: certify.certify_thm15(m, args.jobs)))
         runs.append(("zhai-shu", m, lambda m=m: certify.certify_zhai_shu(m, args.jobs)))
-    for m in range(7, top_m):
+    for m in range(7, top_m(triangle_free=True, c5_free=True,
+                            non_bipartite=True)):
         runs.append(("main", m, lambda m=m: certify.certify_main(m, args.jobs)))
     for n in range(4, top_n):
         runs.append(("mantel", n, lambda n=n: certify.certify_mantel(n)))
     for n in range(5, top_n):
         runs.append(("erdos", n, lambda n=n: certify.certify_erdos(n)))
-    for m in range(9, top_m, 2):
+    for m in range(9, top_m(odd_girth_min=9, non_bipartite=True), 2):
         runs.append(("conj51-k3", m,
                      lambda m=m: certify.certify_conj51(m, 3, args.jobs)))
 

@@ -32,6 +32,9 @@ from . import spectra
 BISECT_WIDTH = 1e-12
 _EXACT_INT = 2 ** 53  # integers of smaller magnitude are exact doubles
 _UNIT_ROUNDOFF = 2.0 ** -53
+# a rounded-up square root is within half a float of the exact one, so one
+# step reaches below it; the bound only keeps a wrong bracket from looping
+_LEFT_END_STEPS = 4
 
 
 class BoundsError(ValueError):
@@ -312,7 +315,27 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
     otherwise, so an endpoint root is detected, never straddled.
     """
     sign = _sign_on(poly.as_integer(), lo, hi)
+    return _bisect(poly, sign, lo, sign(lo), hi, width)
+
+
+def _analytic_bracket(poly: IntPoly, lo: float, hi: float) -> RootBracket:
+    """`bisect_largest_root` from an analytic bracket whose left end is a
+    rounded square root with poly < 0 at the exact root.  At large m the
+    rounding can land above the largest root of poly, so the left end steps
+    down one float at a time until its sign is proven negative; a left end
+    that already is costs no sign beyond the bisection's own."""
+    sign = _sign_on(poly.as_integer(), lo, hi)
     s_lo = sign(lo)
+    for _ in range(_LEFT_END_STEPS):
+        if s_lo < 0:
+            break
+        lo = math.nextafter(lo, -math.inf)
+        s_lo = sign(lo)
+    return _bisect(poly, sign, lo, s_lo, hi, BISECT_WIDTH)
+
+
+def _bisect(poly: IntPoly, sign, lo: float, s_lo: int, hi: float,
+            width: float) -> RootBracket:
     s_hi = sign(hi)
     if s_hi == 0:
         return RootBracket(hi, hi, poly, width)
@@ -342,7 +365,7 @@ def beta_bracket(m: int) -> RootBracket:
     the right end is a root exactly at m = 5 (SK_{2,2} = C_5)."""
     if m < 5:
         raise BoundsError("beta needs m >= 5")
-    return bisect_largest_root(z_poly(m), math.sqrt(m - 2), math.sqrt(m - 1))
+    return _analytic_bracket(z_poly(m), math.sqrt(m - 2), math.sqrt(m - 1))
 
 
 def beta(m: int) -> float:
@@ -356,7 +379,7 @@ def gamma_bracket(m: int) -> RootBracket:
     the right end is a root exactly at m = 7 (S_3(K_{2,2}) = C_7)."""
     if m < 7:
         raise BoundsError("gamma needs m >= 7")
-    return bisect_largest_root(l_poly(m), math.sqrt(m - 4), math.sqrt(m - 3))
+    return _analytic_bracket(l_poly(m), math.sqrt(m - 4), math.sqrt(m - 3))
 
 
 def gamma(m: int) -> float:

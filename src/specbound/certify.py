@@ -7,11 +7,14 @@ canonical parent, the graph left by deleting its canonical last piece, so each
 isomorphism class is generated once and the parents of a level are
 independent shards.  The edge-indexed enumeration adds one edge at a time (no
 isolated vertices ever appear); hereditary class constraints (triangle-free,
-C5-free, bounded odd girth) prune during growth, non-hereditary ones
-(connected, non-bipartite) filter at the end.  Mantel and Erdos checks use
+C5-free, bounded odd girth) prune during growth.  A non-bipartite class is
+grown on its own, from the odd cycles its pruning allows, with the edges
+whose deletion leaves an odd cycle as the pieces, so no bipartite class is
+ever built; connectivity filters at the end.  Mantel and Erdos checks use
 the vertex-indexed enumeration, which adds one vertex at a time.  The tests
 compare both with a reference generator that deduplicates every augmentation
-by canonical form.
+by canonical form, and the non-bipartite levels with the full levels
+filtered by bipartiteness.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .graphs import (
     canonical_graph,
     complete_bipartite,
     connected_components,
+    cycle,
     disjoint_union,
     erdos_extremal,
     is_bipartite,
@@ -49,9 +53,10 @@ from .graphs import (
     s_odd,
     to_graph6,
     _edge_on_c5,
+    _two_colourable,
 )
 
-EDGE_BUDGET = 12
+EDGE_BUDGET = 12  # full levels; see edge_budget for the non-bipartite ones
 VERTEX_BUDGET = 8
 EQUALITY_TOL = 1e-7
 MAXIMIZER_TOL = 1e-9
@@ -64,7 +69,8 @@ class BudgetError(GraphError):
 @dataclass(frozen=True)
 class ClassFilter:
     """Composable graph-class predicate.  The hereditary flags also prune
-    during generation; `connected` and `non_bipartite` only filter."""
+    during generation, `non_bipartite` selects the growth from odd cycles,
+    and `connected` only filters."""
 
     connected: bool = False
     triangle_free: bool = False
@@ -110,36 +116,44 @@ _Piece = TypeVar("_Piece")
 def _children(parents: Iterable[tuple[bytes, Graph]],
               augment: Callable[[Graph], Iterable[tuple[int, tuple, _Piece]]],
               ranks: Callable[[int, tuple], dict[_Piece, tuple]],
-              delete: Callable[[Graph, _Piece], Graph]
+              delete: Callable[[Graph, _Piece], Graph],
+              allowed: Callable[[int, tuple, _Piece], bool]
               ) -> list[tuple[bytes, Graph]]:
     """(canonical form, h) for every child h = g + piece of the given
     (canonical form, g) parents whose canonical parent is g.
 
     `augment(g)` yields (n, edges, piece) for every h; `ranks(n, edges)`
-    maps each piece of h to an isomorphism invariant, and `delete(h, f)` is
-    the graph left by removing piece f.  The canonical parent of h is the
-    greatest canonical form among the deletions of its least-ranked pieces,
-    so h is kept only when the piece just added is least-ranked and no tied
-    piece leaves a greater parent.  Two qualifying pieces may lie in
-    different orbits, so the children of one parent are also deduplicated
-    by canonical form.
+    maps each piece of h to an isomorphism invariant, `allowed(n, edges, f)`
+    says whether deleting piece f leaves a graph of the class being grown
+    (also an invariant), and `delete(h, f)` is the graph left by removing
+    piece f.  The canonical parent of h is the greatest canonical form among
+    the deletions of its least-ranked allowed pieces, so h is kept only when
+    no allowed piece ranks below the piece just added (which every parent
+    makes allowed) and no tied allowed piece leaves a greater parent.
+    `allowed` is asked only about pieces ranked at or below the new one.
+    Two qualifying pieces may lie in different orbits, so the children of
+    one parent are also deduplicated by canonical form.
     """
     out: list[tuple[bytes, Graph]] = []
     for parent_key, g in parents:
         kids: dict[bytes, Graph] = {}
         for n, edges, piece in augment(g):
             rank = ranks(n, edges)
-            least = min(rank.values())
-            if rank[piece] != least:
+            mine = rank[piece]
+            if any(r < mine and allowed(n, edges, f) for f, r in rank.items()):
                 continue
             h = Graph(n, edges)
-            if any(r == least and f != piece
+            if any(r == mine and f != piece and allowed(n, edges, f)
                    and canonical_form(delete(h, f)) > parent_key
                    for f, r in rank.items()):
                 continue
             kids.setdefault(canonical_form(h), h)
         out.extend(kids.items())
     return out
+
+
+def _every_piece(n: int, edges: tuple, piece) -> bool:
+    return True
 
 
 def _union(kids: Iterable[tuple[bytes, Graph]]) -> dict[bytes, Graph]:
@@ -176,6 +190,10 @@ _PruneKey = tuple[bool, bool, int | None]
 # in canonical-form order.  Level k is the union of the children that each
 # class of level k-1 accepts as their canonical parent.
 _LEVELS: dict[_PruneKey, list[dict[bytes, Graph]]] = {}
+
+# prune key -> the non-bipartite classes of those levels, grown from odd
+# cycles (see _levels_up_to)
+_NON_BIPARTITE_LEVELS: dict[_PruneKey, list[dict[bytes, Graph]]] = {}
 
 
 def _prune_key(f: ClassFilter) -> _PruneKey:
@@ -236,33 +254,78 @@ def _drop_edge(h: Graph, e: Edge) -> Graph:
     return rest.induced(v for v in range(h.n) if rest.mask(v))
 
 
-def _edge_children(args: tuple[_PruneKey, list[tuple[bytes, Graph]]]
+def _keeps_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
+    """Whether the graph with these edges is still non-bipartite without e."""
+    masks = [0] * n
+    for u, v in edges:
+        if (u, v) != e:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return not _two_colourable(masks)
+
+
+def _edge_children(args: tuple[_PruneKey, bool, list[tuple[bytes, Graph]]]
                    ) -> list[tuple[bytes, Graph]]:
-    key, parents = args
+    key, non_bipartite, parents = args
     return _children(parents, lambda g: _edge_augmentations(g, key),
-                     _edge_ranks, _drop_edge)
+                     _edge_ranks, _drop_edge,
+                     _keeps_odd_cycle if non_bipartite else _every_piece)
 
 
 def _chunks(items: list, size: int) -> list[list]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _levels_up_to(m: int, key: _PruneKey, jobs: int = 1) -> list[dict[bytes, Graph]]:
-    levels = _LEVELS.setdefault(key, [
-        {},
-        {canonical_form(path(2)): path(2)},
-    ])
+def _levels_up_to(m: int, key: _PruneKey, jobs: int = 1,
+                  non_bipartite: bool = False) -> list[dict[bytes, Graph]]:
+    """Levels 0..m of the pruned class, or of its non-bipartite classes.
+
+    Those grow from odd cycles.  Every non-bipartite class other than an
+    odd cycle has an edge whose deletion leaves it non-bipartite (any edge
+    off one odd cycle), so its pieces are those edges and its canonical
+    parent is non-bipartite; the odd cycle C_k the key allows is a root
+    that joins level k.
+    """
+    if non_bipartite:
+        levels = _NON_BIPARTITE_LEVELS.setdefault(key, [{}, {}, {}])
+    else:
+        levels = _LEVELS.setdefault(key, [
+            {},
+            {canonical_form(path(2)): path(2)},
+        ])
     while len(levels) <= m:
+        k = len(levels)
         parents = list(levels[-1].items())
         if jobs > 1 and len(parents) >= 4 * jobs:
             size = max(1, len(parents) // (4 * jobs))
             with ProcessPoolExecutor(max_workers=jobs) as ex:
                 blocks = list(ex.map(_edge_children,
-                                     [(key, c) for c in _chunks(parents, size)]))
+                                     [(key, non_bipartite, c)
+                                      for c in _chunks(parents, size)]))
         else:
-            blocks = [_edge_children((key, parents))]
+            blocks = [_edge_children((key, non_bipartite, parents))]
+        # the root C_k, when the key allows closing the path P_k into it
+        if non_bipartite and k % 2 and _edge_allowed(path(k), 0, k - 1, key):
+            blocks.append([(canonical_form(cycle(k)), cycle(k))])
         levels.append(_union(chain.from_iterable(blocks)))
     return levels
+
+
+def edge_budget(filt: ClassFilter) -> int:
+    """Largest m that `enumerate_graphs` accepts for this filter.
+
+    Non-bipartite classes grow from odd cycles, and the longer the shortest
+    odd cycle their pruning allows, the smaller their levels, so triangle-
+    free, {C3,C5}-free and odd girth >= 9 classes go further than
+    EDGE_BUDGET.  Every other filter builds full levels and keeps it."""
+    if not filt.non_bipartite:
+        return EDGE_BUDGET
+    triangle_free, c5_free, odd_girth_min = _prune_key(filt)
+    if odd_girth_min:
+        return 15
+    if triangle_free:
+        return 14 if c5_free else 13
+    return EDGE_BUDGET
 
 
 def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
@@ -271,9 +334,10 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
     satisfy the filter, in canonical-form order."""
     if m < 1:
         raise GraphError("enumeration needs m >= 1")
-    if m > EDGE_BUDGET:
-        raise BudgetError(f"edge budget is m <= {EDGE_BUDGET}")
-    levels = _levels_up_to(m, _prune_key(filt), jobs)
+    budget = edge_budget(filt)
+    if m > budget:
+        raise BudgetError(f"edge budget is m <= {budget} for {filt.describe()}")
+    levels = _levels_up_to(m, _prune_key(filt), jobs, filt.non_bipartite)
     for g in levels[m].values():
         if filt.admits(g):
             yield g
@@ -320,7 +384,7 @@ def graphs_on_vertices(n: int, triangle_free: bool = True) -> list[Graph]:
         levels.append(_union(_children(
             levels[-1].items(),
             lambda g: _vertex_augmentations(g, triangle_free),
-            _vertex_ranks, _drop_vertex)))
+            _vertex_ranks, _drop_vertex, _every_piece)))
     return list(levels[n].values())
 
 

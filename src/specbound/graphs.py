@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -405,8 +405,13 @@ def is_bipartite(g: Graph) -> bool:
     """BFS 2-colouring, one search per component: BFS edges only join equal
     or adjacent depths, so g is bipartite iff no edge joins two vertices of
     the same depth (the same BFS layer)."""
+    return _two_colourable(g._masks)
+
+
+def _two_colourable(masks: Sequence[int]) -> bool:
+    """`is_bipartite` on neighbour bitmasks, one per vertex."""
     seen = 0
-    for s in range(g.n):
+    for s in range(len(masks)):
         if seen >> s & 1:
             continue
         comp = frontier = 1 << s
@@ -416,7 +421,7 @@ def is_bipartite(g: Graph) -> bool:
             while f:
                 v = (f & -f).bit_length() - 1
                 f &= f - 1
-                mv = g.mask(v)
+                mv = masks[v]
                 if mv & frontier:
                     return False
                 nxt |= mv

@@ -344,6 +344,41 @@ class TestCertifiedSigns:
         assert not hasattr(f_poly(3, 10), "__dict__")
 
 
+def large_m_sample(seed: int, per_decade: int) -> list[int]:
+    """Seeded m in [10^7, 10^12), the same number from every decade."""
+    rng = random.Random(seed)
+    return [m for e in range(7, 12)
+            for m in rng.sample(range(10 ** e, 10 ** (e + 1)), per_decade)]
+
+
+class TestLargeMStartBrackets:
+    """Near m = 10^8 (gamma) and 10^11 (beta) the rounded analytic left end
+    sqrt(m-4) or sqrt(m-2) can land above the root; the bracket functions
+    step it down until its sign is proven negative."""
+
+    @pytest.mark.parametrize("bracket", [beta_bracket, gamma_bracket])
+    def test_signs_verify_exactly(self, bracket):
+        for m in large_m_sample(41, 40):
+            rb = bracket(m)
+            assert rb.lo < rb.hi, m
+            assert rb.verify_signs_exact(), m
+
+    @pytest.mark.parametrize("bracket, family", [(beta_bracket, z_poly),
+                                                 (gamma_bracket, l_poly)])
+    def test_largest_root_isolated_by_sympy(self, bracket, family):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for m in large_m_sample(43, 4):
+            rb = bracket(m)
+            p = sympy.Poly(list(reversed(family(m).as_integer())), x)
+            lo, hi = sympy.Rational(Fraction(rb.lo)), sympy.Rational(Fraction(rb.hi))
+            # exactly one real root at or above lo, so the largest, and it
+            # lies below hi
+            assert len(p.intervals(inf=lo)) == 1, m
+            assert not p.intervals(inf=hi), m
+            assert p.eval(lo) < 0, m
+
+
 class TestComparisonFunctions:
     def test_f_values(self):
         assert f_val(11, 0) == 0

@@ -194,6 +194,44 @@ class TestEnumeration:
         classes = sum(map(len, certify._LEVELS[(True, False, None)]))
         assert len(calls) <= 4 * classes
 
+    def test_non_bipartite_pool_levels_match_serial(self, monkeypatch):
+        filt = ClassFilter(triangle_free=True, non_bipartite=True)
+        real = certify.ProcessPoolExecutor
+        starts = []
+
+        def counting_pool(*args, **kwargs):
+            starts.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
+        pooled = [canon6(g) for g in enumerate_graphs(9, filt, jobs=2)]
+        pooled_levels = certify._NON_BIPARTITE_LEVELS
+        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
+        serial = [canon6(g) for g in enumerate_graphs(9, filt)]
+        assert starts
+        assert pooled == serial
+        assert pooled_levels == certify._NON_BIPARTITE_LEVELS
+
+    def test_non_bipartite_canonical_form_calls_per_class(self, monkeypatch):
+        # odd-cycle roots and the allowed-piece test keep the rule's cost
+        # per class at about 2.1 labellings, within the full levels' bound
+        real = certify.canonical_form
+        calls = []
+
+        def counting_form(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(certify, "canonical_form", counting_form)
+        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
+        list(enumerate_graphs(10, ClassFilter(triangle_free=True,
+                                              non_bipartite=True)))
+        levels = certify._NON_BIPARTITE_LEVELS[(True, False, None)]
+        classes = sum(map(len, levels))
+        assert classes == 1 + 2 + 9 + 28 + 107 + 379
+        assert len(calls) <= 4 * classes
+
     def test_m7_counts_against_vertex_growth(self):
         # the edge-indexed enumerator restricted to n <= 8 must agree with
         # the vertex-indexed one on 8 vertices (the same acceptance rule
@@ -206,6 +244,55 @@ class TestEnumeration:
                     by_vertices += 1
         by_edges = sum(1 for g in enumerate_graphs(7) if g.n <= 8)
         assert by_edges == by_vertices
+
+
+class TestEdgeBudgets:
+    """Non-bipartite classes grow from odd cycles and get their own budget;
+    full levels keep EDGE_BUDGET."""
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def no_levels(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(certify, "_levels_up_to", no_levels)
+
+    @pytest.mark.parametrize("filt, budget", [
+        (ClassFilter(), 12),
+        (ClassFilter(triangle_free=True), 12),
+        (ClassFilter(triangle_free=True, c5_free=True), 12),
+        (ClassFilter(non_bipartite=True), 12),
+        (ClassFilter(c5_free=True, non_bipartite=True), 12),
+        (ClassFilter(triangle_free=True, non_bipartite=True), 13),
+        (ClassFilter(odd_girth_min=5, non_bipartite=True), 13),
+        (ClassFilter(triangle_free=True, c5_free=True, non_bipartite=True),
+         14),
+        (ClassFilter(odd_girth_min=7, non_bipartite=True), 14),
+        (ClassFilter(odd_girth_min=9, non_bipartite=True), 15),
+        (ClassFilter(odd_girth_min=11, non_bipartite=True), 15),
+    ], ids=lambda v: v.describe() if isinstance(v, ClassFilter) else str(v))
+    def test_one_past_the_budget_raises_before_enumerating(
+            self, no_enumeration, filt, budget):
+        assert certify.edge_budget(filt) == budget
+        with pytest.raises(BudgetError, match=f"m <= {budget}"):
+            list(enumerate_graphs(budget + 1, filt))
+
+    @pytest.mark.parametrize("certifier, args", [
+        (certify_nosal, (13,)),
+        (certify_lnw_sum, (13,)),
+        (explore_booksize, (13,)),
+        (certify_thm15, (14,)),
+        (certify_zhai_shu, (14,)),
+        (certify_main, (15,)),
+        (certify_conj51, (15, 1)),
+        (certify_conj51, (15, 2)),
+        # m = 16 is one past the k = 3 budget, but conj51 needs odd m
+        (certify_conj51, (17, 3)),
+    ], ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)))
+    def test_certifiers_past_their_budget(self, no_enumeration, certifier,
+                                          args):
+        with pytest.raises(BudgetError):
+            certifier(*args)
 
 
 class TestVertexEnumeration:
@@ -407,12 +494,18 @@ class TestConjecture51:
                                               (2, certify_main)])
     def test_reuses_the_equivalent_theorems_levels(self, monkeypatch, k,
                                                    certifier):
+        # the non-bipartite certifiers build only the non-bipartite levels
         monkeypatch.setattr(certify, "_LEVELS", {})
+        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
         certifier(9)
-        built = {key: len(levels) for key, levels in certify._LEVELS.items()}
+        built = {key: len(levels)
+                 for key, levels in certify._NON_BIPARTITE_LEVELS.items()}
+        assert built and not certify._LEVELS
         certify_conj51(9, k)
         assert {key: len(levels)
-                for key, levels in certify._LEVELS.items()} == built
+                for key, levels in certify._NON_BIPARTITE_LEVELS.items()
+                } == built
+        assert not certify._LEVELS
 
     def test_k3_m9_is_c9(self):
         r = certify_conj51(9, 3)

@@ -117,7 +117,7 @@ class TestCommands:
         assert "HOLDS_WITH_EQUALITY" in out
 
     def test_certify_budget_exit_1(self, capsys):
-        code, _, err = run(capsys, "certify", "zhai-shu", "13")
+        code, _, err = run(capsys, "certify", "zhai-shu", "14")
         assert code == 1
         assert "budget" in err
 

@@ -4,14 +4,31 @@ The reference grows every augmentation of every class one level up and
 deduplicates by canonical form in one dictionary per level, the method the
 enumerators used before canonical augmentation.  It shares only the pruning
 rule (`_edge_allowed`) and `canonical_form` with them, so equal canonical-form
-sets check the acceptance rule independently.
+sets check the acceptance rule independently.  The non-bipartite levels,
+grown from odd cycles, are checked against the full levels filtered by
+`is_bipartite`.
 """
 
 import pytest
+from hypothesis import example, given
 
 from specbound import certify
-from specbound.certify import ClassFilter, _edge_allowed, _prune_key
-from specbound.graphs import Graph, canonical_form, path
+from specbound.certify import (
+    ClassFilter,
+    _edge_allowed,
+    _keeps_odd_cycle,
+    _prune_key,
+)
+from specbound.graphs import (
+    Graph,
+    canonical_form,
+    cycle,
+    disjoint_union,
+    is_bipartite,
+    path,
+)
+
+from conftest import graphs_st
 
 MAX_M = 8
 MAX_N = 7
@@ -76,3 +93,40 @@ def test_vertex_levels_match_reference(triangle_free):
         got = [canonical_form(g) for g in
                certify.graphs_on_vertices(n, triangle_free)]
         assert got == sorted(want[n])
+
+
+@pytest.mark.parametrize("filt, max_m", [
+    (ClassFilter(), 8),
+    (ClassFilter(triangle_free=True), 10),
+    (ClassFilter(triangle_free=True, c5_free=True), 10),
+    (ClassFilter(odd_girth_min=9), 10),
+], ids=lambda v: v.describe() if isinstance(v, ClassFilter) else str(v))
+def test_non_bipartite_levels_match_filtered_levels(filt, max_m):
+    key = _prune_key(filt)
+    full = certify._levels_up_to(max_m, key)
+    grown = certify._levels_up_to(max_m, key, non_bipartite=True)
+    for m in range(max_m + 1):
+        want = [c for c, g in full[m].items() if not is_bipartite(g)]
+        assert list(grown[m]) == want, m
+        assert all(canonical_form(g) == c for c, g in grown[m].items())
+
+
+def without_isolated_vertices(g: Graph) -> Graph:
+    return g.induced(v for v in range(g.n) if g.mask(v))
+
+
+@given(graphs_st(max_n=9))
+@example(cycle(3))
+@example(cycle(9))
+@example(disjoint_union(cycle(5), path(2)))
+@example(Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2))))
+def test_only_odd_cycles_lack_an_allowed_piece(g):
+    h = without_isolated_vertices(g)
+    if is_bipartite(h):
+        return
+    pieces = [e for e in h.edges if _keeps_odd_cycle(h.n, h.edges, e)]
+    assert pieces == [e for e in h.edges if not is_bipartite(
+        Graph(h.n, tuple(f for f in h.edges if f != e)))]
+    odd_cycle = h.n % 2 == 1 and canonical_form(h) == canonical_form(
+        cycle(h.n))
+    assert (not pieces) == odd_cycle
