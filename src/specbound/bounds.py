@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from . import graphs as G
 from . import spectra
+from .spectra import IntPoly
 
 BISECT_WIDTH = 1e-12
 _EXACT_INT = 2 ** 53  # integers of smaller magnitude are exact doubles
@@ -42,76 +43,8 @@ class BoundsError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact polynomials (little-endian coefficient tuples)
+# exact polynomial families (spectra.IntPoly, little-endian coefficients)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class IntPoly:
-    """Dense univariate polynomial with exact int or Fraction coefficients,
-    coeffs[i] multiplying x**i."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = list(self.coeffs) or [0]
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(tuple(out))
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(tuple(out))
-
-    def shift_x(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
-        return IntPoly((0,) * k + self.coeffs)
-
-    def strip_x(self) -> tuple["IntPoly", int]:
-        """Factor out the largest power of x; returns (quotient, power)."""
-        k = 0
-        c = self.coeffs
-        while k < len(c) - 1 and c[k] == 0:
-            k += 1
-        return IntPoly(c[k:]), k
-
-    def as_integer(self) -> tuple[int, ...]:
-        """Coefficients scaled by a positive common denominator."""
-        den = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        return tuple(int(c * den) for c in self.coeffs)
 
 
 def z_poly(m: int) -> IntPoly:
@@ -201,8 +134,7 @@ def e_poly(a: int, b: int, case: int) -> IntPoly:
     reproduces e_poly_closed."""
     if a < 2 or b < 2:
         raise BoundsError("e_poly needs a, b >= 2")
-    cp = spectra.char_poly(pendant_case_graph(a, b, case))
-    factor, _ = IntPoly(cp.coeffs).strip_x()
+    factor, _ = spectra.char_poly(pendant_case_graph(a, b, case)).strip_x()
     return factor
 
 
@@ -313,29 +245,22 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
     proven: a float Horner value is trusted only beyond Higham's rounding
     bound for the whole bracket (see `_sign_on`), and computed exactly
     otherwise, so an endpoint root is detected, never straddled.
+
+    An analytic left end such as a rounded square root can land above the
+    largest root at large m, so a left end whose sign is not negative
+    steps down one float at a time, at most _LEFT_END_STEPS times; a left
+    end that already is costs no sign beyond the bisection's own.
     """
-    sign = _sign_on(poly.as_integer(), lo, hi)
-    return _bisect(poly, sign, lo, sign(lo), hi, width)
-
-
-def _analytic_bracket(poly: IntPoly, lo: float, hi: float) -> RootBracket:
-    """`bisect_largest_root` from an analytic bracket whose left end is a
-    rounded square root with poly < 0 at the exact root.  At large m the
-    rounding can land above the largest root of poly, so the left end steps
-    down one float at a time until its sign is proven negative; a left end
-    that already is costs no sign beyond the bisection's own."""
-    sign = _sign_on(poly.as_integer(), lo, hi)
+    floor = lo  # the sign bound covers every left end the steps can reach
+    for _ in range(_LEFT_END_STEPS):
+        floor = math.nextafter(floor, -math.inf)
+    sign = _sign_on(poly.as_integer(), floor, hi)
     s_lo = sign(lo)
     for _ in range(_LEFT_END_STEPS):
         if s_lo < 0:
             break
         lo = math.nextafter(lo, -math.inf)
         s_lo = sign(lo)
-    return _bisect(poly, sign, lo, s_lo, hi, BISECT_WIDTH)
-
-
-def _bisect(poly: IntPoly, sign, lo: float, s_lo: int, hi: float,
-            width: float) -> RootBracket:
     s_hi = sign(hi)
     if s_hi == 0:
         return RootBracket(hi, hi, poly, width)
@@ -365,7 +290,7 @@ def beta_bracket(m: int) -> RootBracket:
     the right end is a root exactly at m = 5 (SK_{2,2} = C_5)."""
     if m < 5:
         raise BoundsError("beta needs m >= 5")
-    return _analytic_bracket(z_poly(m), math.sqrt(m - 2), math.sqrt(m - 1))
+    return bisect_largest_root(z_poly(m), math.sqrt(m - 2), math.sqrt(m - 1))
 
 
 def beta(m: int) -> float:
@@ -379,7 +304,7 @@ def gamma_bracket(m: int) -> RootBracket:
     the right end is a root exactly at m = 7 (S_3(K_{2,2}) = C_7)."""
     if m < 7:
         raise BoundsError("gamma needs m >= 7")
-    return _analytic_bracket(l_poly(m), math.sqrt(m - 4), math.sqrt(m - 3))
+    return bisect_largest_root(l_poly(m), math.sqrt(m - 4), math.sqrt(m - 3))
 
 
 def gamma(m: int) -> float:

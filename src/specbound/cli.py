@@ -1,5 +1,6 @@
 """Command-line front end: spectra, exact characteristic polynomials, root
-bounds, constructions, exhaustive certification, and the reference tables.
+bounds, constructions, exhaustive certification, the certification sweep,
+and the reference tables.
 
 Exit codes: 0 success / bound holds, 1 usage or input error, 2 a check
 failed or a certifier returned VIOLATED.
@@ -8,8 +9,10 @@ failed or a certifier returned VIOLATED.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import re
 import sys
+import time
 
 from . import bounds, certify, spectra
 from . import graphs as G
@@ -202,6 +205,49 @@ def cmd_certify(args) -> int:
     return 0 if ok else 2
 
 
+def _sweep_plan() -> list[tuple[str, int]]:
+    """(certifier, parameter) for every check in budget, in table order;
+    conj51 runs at k = 3, the open case."""
+    def top_m(**flags) -> int:
+        return certify.edge_budget(certify.ClassFilter(**flags)) + 1
+
+    top_n = certify.VERTEX_BUDGET + 1
+    plan = []
+    for m in range(3, top_m(triangle_free=True)):
+        plan += [("nosal", m), ("lnw", m)]
+    for m in range(5, top_m(triangle_free=True, non_bipartite=True)):
+        plan += [("thm15", m), ("zhai-shu", m)]
+    plan += [("main", m) for m in range(
+        7, top_m(triangle_free=True, c5_free=True, non_bipartite=True))]
+    plan += [("mantel", n) for n in range(4, top_n)]
+    plan += [("erdos", n) for n in range(5, top_n)]
+    plan += [("conj51", m) for m in range(
+        9, top_m(odd_girth_min=9, non_bipartite=True), 2)]
+    return plan
+
+
+def cmd_sweep(args) -> int:
+    print(f"{'theorem':<10} {'param':>5} {'classes':>8} {'max':>13} "
+          f"{'bound':>13} {'verdict':<22} {'secs':>6}")
+    if args.json_dir:
+        args.json_dir.mkdir(parents=True, exist_ok=True)
+    bad = 0
+    t0 = time.perf_counter()
+    for theorem, param in _sweep_plan():
+        r = _CERTIFIERS[theorem](
+            argparse.Namespace(param=param, k=3, jobs=args.jobs))
+        name = "conj51-k3" if theorem == "conj51" else theorem
+        print(f"{name:<10} {param:>5} {r.graphs_examined:>8} "
+              f"{r.max_lambda:>13.8f} {r.bound:>13.8f} {r.verdict:<22} "
+              f"{r.wall_time:>6.2f}")
+        bad += r.verdict == "VIOLATED"
+        if args.json_dir:
+            certify.report_to_json(r, args.json_dir / f"{name}-{param}.json")
+    print(f"total wall time {time.perf_counter() - t0:.1f}s, "
+          f"{bad} violation(s)")
+    return 2 if bad else 0
+
+
 def cmd_enumerate(args) -> int:
     filt = certify.ClassFilter(
         connected=args.connected,
@@ -252,6 +298,13 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.set_defaults(fn=cmd_certify)
+
+    p = sub.add_parser("sweep", help="every certifier at every parameter in "
+                       "budget, one row per check")
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--json-dir", type=pathlib.Path, metavar="DIR",
+                   help="also write each report as DIR/<theorem>-<param>.json")
+    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("enumerate", help="list isomorphism classes as graph6")
     p.add_argument("m", type=int)

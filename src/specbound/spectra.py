@@ -1,9 +1,14 @@
-"""Dense symmetric eigensolution and exact characteristic polynomials.
+"""Dense symmetric eigensolution, the exact polynomial type, and exact
+characteristic polynomials.
 
 Spectra come from one LAPACK call (`numpy.linalg.eigh`) per graph.  Each
 spectrum carries a residual certificate computed from the returned
 eigenvectors, max ||A v - lambda v|| / ||A||_F, so every float eigenvalue
 comes with an error bound that callers can check.
+
+`IntPoly` is the one exact polynomial type: `char_poly` returns it, and the
+polynomial families and root brackets in `bounds` are built from it, so a
+characteristic polynomial compares and factors against them directly.
 
 Characteristic polynomials are exact, because the factorization identities
 downstream must hold with zero tolerance.  The Faddeev-LeVerrier recurrence
@@ -92,15 +97,22 @@ def cycle_spectrum_closed_form(n: int) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# exact characteristic polynomial
+# exact polynomials and the characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Exact integer coefficients c_0..c_n of det(xI - A), c_n = 1."""
+@dataclass(frozen=True, slots=True)
+class IntPoly:
+    """Dense univariate polynomial with exact int or Fraction coefficients,
+    coeffs[i] multiplying x**i."""
 
-    coeffs: tuple[int, ...]
+    coeffs: tuple
+
+    def __post_init__(self):
+        c = list(self.coeffs) or [0]
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @property
     def degree(self) -> int:
@@ -111,6 +123,47 @@ class CharPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def __add__(self, other: "IntPoly") -> "IntPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return IntPoly(tuple(out))
+
+    def __neg__(self) -> "IntPoly":
+        return IntPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: "IntPoly") -> "IntPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return IntPoly(tuple(out))
+
+    def shift_x(self, k: int) -> "IntPoly":
+        """Multiply by x**k."""
+        return IntPoly((0,) * k + self.coeffs)
+
+    def strip_x(self) -> tuple["IntPoly", int]:
+        """Factor out the largest power of x; returns (quotient, power)."""
+        k = 0
+        c = self.coeffs
+        while k < len(c) - 1 and c[k] == 0:
+            k += 1
+        return IntPoly(c[k:]), k
+
+    def as_integer(self) -> tuple[int, ...]:
+        """Coefficients scaled by a positive common denominator."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(int(c * den) for c in self.coeffs)
 
 
 # Primes below 2**57, so a 0/1 matrix times residues below p sums to at
@@ -142,7 +195,7 @@ def _crt(residues: list[list[int]], primes: tuple[int, ...]) -> list[int]:
     return out
 
 
-def char_poly(g: Graph) -> CharPoly:
+def char_poly(g: Graph) -> IntPoly:
     """Exact det(xI - A) by Faddeev-LeVerrier modulo primes.
 
     M_1 = A, M_k = A (M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k) / k, run
@@ -156,7 +209,7 @@ def char_poly(g: Graph) -> CharPoly:
     if n > CHARPOLY_MAX_N:
         raise SizeLimitError(f"char_poly limited to n <= {CHARPOLY_MAX_N}")
     if n == 0:
-        return CharPoly((1,))
+        return IntPoly((1,))
     primes = _moduli((1 + max(g.degree(v) for v in range(n))) ** n)
     mods = np.array(primes, dtype=np.int64)[:, None, None]
     a = adjacency_matrix(g).astype(np.int64)
@@ -170,7 +223,7 @@ def char_poly(g: Graph) -> CharPoly:
         tr = mk.trace(axis1=1, axis2=2)
         residues.append([-int(t) * pow(k, -1, p) % p
                          for t, p in zip(tr, primes)])
-    return CharPoly(tuple(_crt(residues[::-1], primes)))
+    return IntPoly(tuple(_crt(residues[::-1], primes)))
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ class TestBisection:
             gap = lam1 - s.values[1] if g.n > 1 else 1.0
             if gap < 1e-6:
                 continue
-            p = IntPoly(char_poly(g).coeffs)
+            p = char_poly(g)
             hi = 1.0 + max(abs(c) for c in p.coeffs)
             rb = bisect_largest_root(p, lam1 - gap / 2, hi)
             assert rb.value == pytest.approx(lam1, abs=1e-8)

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from specbound import certify
 from specbound.cli import main, parse_construction
 from specbound.graphs import (
     canonical_form,
@@ -166,3 +168,69 @@ class TestDeterminism:
         a.pop("wall_time")
         b.pop("wall_time")
         assert a == b
+
+
+class TestSweep:
+    # with these budgets the sweep runs 25 checks, all at m <= 9
+    PLAN = ([(t, m) for m in range(3, 7) for t in ("nosal", "lnw")]
+            + [(t, m) for m in range(5, 10) for t in ("thm15", "zhai-shu")]
+            + [("main", m) for m in range(7, 10)]
+            + [("mantel", 4), ("mantel", 5), ("erdos", 5), ("conj51-k3", 9)])
+
+    @pytest.fixture(autouse=True)
+    def small_budgets(self, monkeypatch):
+        monkeypatch.setattr(certify, "edge_budget",
+                            lambda filt: 9 if filt.non_bipartite else 6)
+        monkeypatch.setattr(certify, "VERTEX_BUDGET", 5)
+
+    @staticmethod
+    def report(path):
+        data = json.loads(path.read_text())
+        data.pop("wall_time")
+        return data
+
+    def reports(self, json_dir):
+        return {path.name: self.report(path) for path in json_dir.iterdir()}
+
+    def test_rows_and_reports_match_certify(self, capsys, tmp_path):
+        json_dir, one = tmp_path / "swept", tmp_path / "one.json"
+        code, out, _ = run(capsys, "sweep", "--json-dir", str(json_dir))
+        assert code == 0
+        rows = out.splitlines()[1:-1]
+        assert [(r.split()[0], int(r.split()[1])) for r in rows] == self.PLAN
+        assert out.splitlines()[-1].endswith(" 0 violation(s)")
+        swept = self.reports(json_dir)
+        assert sorted(swept) == sorted(f"{t}-{m}.json" for t, m in self.PLAN)
+        for theorem, m in self.PLAN:
+            run(capsys, "certify", theorem.removesuffix("-k3"), str(m),
+                "--k", "3", "--json", str(one))
+            assert swept[f"{theorem}-{m}.json"] == self.report(one)
+
+    def test_violation_exit_2(self, capsys, monkeypatch):
+        real = certify.certify_main
+
+        def violated(m, jobs=1):
+            return dataclasses.replace(real(m, jobs), verdict="VIOLATED")
+
+        monkeypatch.setattr(certify, "certify_main", violated)
+        code, out, _ = run(capsys, "sweep")
+        assert code == 2
+        assert out.splitlines()[-1].endswith(" 3 violation(s)")
+
+    def test_jobs_only_change_wall_time(self, capsys, monkeypatch, tmp_path):
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        run(capsys, "sweep", "--json-dir", str(serial))
+        real = certify.ProcessPoolExecutor
+        starts = []
+
+        def counting_pool(*args, **kwargs):
+            starts.append(kwargs)
+            return real(*args, **kwargs)
+
+        # empty level caches, so that --jobs 2 enumerates through the pool
+        monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(certify, "_LEVELS", {})
+        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
+        run(capsys, "sweep", "--jobs", "2", "--json-dir", str(pooled))
+        assert starts
+        assert self.reports(pooled) == self.reports(serial)

@@ -20,8 +20,9 @@ from specbound.graphs import (
     triangle_count,
     GALLERY_SPECTRA,
 )
+from specbound import bounds, spectra
 from specbound.spectra import (
-    CharPoly,
+    IntPoly,
     adjacency_matrix,
     char_poly,
     classical_bounds,
@@ -155,6 +156,10 @@ class TestCycleClosedForm:
 class TestCharPoly:
     def test_k2(self):
         assert char_poly(path(2)).coeffs == (-1, 0, 1)
+
+    def test_one_exact_polynomial_type(self):
+        assert isinstance(char_poly(sk(2, 4)), IntPoly)
+        assert bounds.IntPoly is spectra.IntPoly
 
     def test_sk24_factored_form(self):
         # x^2 (x^2+x-1)(x^3-x^2-7x+6)
