@@ -23,9 +23,11 @@ import json
 import math
 import os
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import bounds
@@ -114,38 +116,33 @@ _Piece = TypeVar("_Piece")
 
 
 def _children(parents: Iterable[tuple[bytes, Graph]],
-              augment: Callable[[Graph], Iterable[tuple[int, tuple, _Piece]]],
-              ranks: Callable[[int, tuple], dict[_Piece, tuple]],
+              grow: Callable[[Graph], Iterable[tuple[int, tuple, list]]],
               delete: Callable[[Graph, _Piece], Graph],
               allowed: Callable[[int, tuple, _Piece], bool]
               ) -> list[tuple[bytes, Graph]]:
     """(canonical form, h) for every child h = g + piece of the given
     (canonical form, g) parents whose canonical parent is g.
 
-    `augment(g)` yields (n, edges, piece) for every h; `ranks(n, edges)`
-    maps each piece of h to an isomorphism invariant, `allowed(n, edges, f)`
+    Pieces are ranked by an isomorphism invariant, `allowed(n, edges, f)`
     says whether deleting piece f leaves a graph of the class being grown
     (also an invariant), and `delete(h, f)` is the graph left by removing
     piece f.  The canonical parent of h is the greatest canonical form among
     the deletions of its least-ranked allowed pieces, so h is kept only when
     no allowed piece ranks below the piece just added (which every parent
     makes allowed) and no tied allowed piece leaves a greater parent.
-    `allowed` is asked only about pieces ranked at or below the new one.
+    `grow(g)` applies the first test: it yields (n, edges, ties) for every
+    h that passes it, with the other pieces of h that tie with the new one.
     Two qualifying pieces may lie in different orbits, so the children of
     one parent are also deduplicated by canonical form.
     """
     out: list[tuple[bytes, Graph]] = []
     for parent_key, g in parents:
         kids: dict[bytes, Graph] = {}
-        for n, edges, piece in augment(g):
-            rank = ranks(n, edges)
-            mine = rank[piece]
-            if any(r < mine and allowed(n, edges, f) for f, r in rank.items()):
-                continue
+        for n, edges, ties in grow(g):
             h = Graph(n, edges)
-            if any(r == mine and f != piece and allowed(n, edges, f)
+            if any(allowed(n, edges, f)
                    and canonical_form(delete(h, f)) > parent_key
-                   for f, r in rank.items()):
+                   for f in ties):
                 continue
             kids.setdefault(canonical_form(h), h)
         out.extend(kids.items())
@@ -167,17 +164,29 @@ def _union(kids: Iterable[tuple[bytes, Graph]]) -> dict[bytes, Graph]:
     return dict(sorted(level.items()))
 
 
-def _vertex_invariants(n: int, edges: tuple) -> list[tuple[int, int]]:
-    """(degree, sum of neighbour degrees) of every vertex."""
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    nds = [0] * n
-    for u, v in edges:
+# A vertex ranks by its (degree, sum of neighbour degrees), packed as
+# degree << _NDS_BITS | sum so that int order is tuple order (the sum is at
+# most n(n-1) < 2^_NDS_BITS for n <= 40), and an edge by the (lower,
+# higher) ranks of its ends, packed as lower << 32 | higher.  Adding an edge
+# or a vertex never lowers a vertex's rank, so no old piece ranks lower in a
+# child than in its parent: step 1 ranks the parent's pieces once, updates
+# only the vertices an augmentation touches, and stops its scan at the first
+# piece whose rank in the parent passes the new piece's.
+_NDS_BITS = 16
+_DEG_ONE = 1 << _NDS_BITS
+
+
+def _vertex_ranks(g: Graph) -> list[int]:
+    deg = g.degrees()
+    nds = [0] * g.n
+    for u, v in g.edges:
         nds[u] += deg[v]
         nds[v] += deg[u]
-    return list(zip(deg, nds))
+    return [d << _NDS_BITS | s for d, s in zip(deg, nds)]
+
+
+def _edge_rank(x: int, y: int) -> int:
+    return x << 32 | y if x < y else y << 32 | x
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +239,42 @@ def _edge_allowed(g: Graph, u: int, v: int, key: _PruneKey) -> bool:
     return True
 
 
-def _edge_augmentations(g: Graph, key: _PruneKey
-                        ) -> Iterator[tuple[int, tuple, Edge]]:
+def _edge_growth(g: Graph, key: _PruneKey,
+                 allowed: Callable[[int, tuple, Edge], bool]
+                 ) -> Iterator[tuple[int, tuple, list[Edge]]]:
+    """(n, edges, ties) for every h = g + e, e = (a, b), in which no allowed
+    edge ranks below e; ties are the other edges that rank with e, in edge
+    order.  In h, a and b each gain a neighbour, and the neighbour-degree
+    sum of each of their old neighbours rises by one."""
     n = g.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v) and _edge_allowed(g, u, v, key):
-                yield n, g.edges + ((u, v),), (u, v)
-    for u in range(n):
-        yield n + 1, g.edges + ((u, n),), (u, n)
-    yield n + 2, g.edges + ((n, n + 1),), (n, n + 1)
-
-
-def _edge_ranks(n: int, edges: tuple) -> dict[Edge, tuple]:
-    inv = _vertex_invariants(n, edges)
-    return {(u, v): (min(inv[u], inv[v]), max(inv[u], inv[v]))
-            for u, v in edges}
+    masks = g._masks + (0, 0)
+    inv = _vertex_ranks(g) + [0, 0]
+    ranked = sorted((_edge_rank(inv[u], inv[v]), u, v) for u, v in g.edges)
+    ranks = [r for r, _, _ in ranked]
+    pairs = chain(
+        ((u, v) for u in range(n) for v in range(u + 1, n)
+         if not masks[u] >> v & 1 and _edge_allowed(g, u, v, key)),
+        ((u, n) for u in range(n)),
+        ((n, n + 1),))
+    for a, b in pairs:
+        ma, mb = masks[a], masks[b]
+        ia = inv[a] + _DEG_ONE + mb.bit_count() + 1
+        ib = inv[b] + _DEG_ONE + ma.bit_count() + 1
+        mine = _edge_rank(ia, ib)
+        nh = max(n, b + 1)
+        ties = []
+        for r, u, v in islice(ranked, bisect_right(ranks, mine)):
+            iu = ia if u == a else ib if u == b else (
+                inv[u] + (ma >> u & 1) + (mb >> u & 1))
+            iv = ia if v == a else ib if v == b else (
+                inv[v] + (ma >> v & 1) + (mb >> v & 1))
+            r = _edge_rank(iu, iv)
+            if r < mine and allowed(nh, g.edges + ((a, b),), (u, v)):
+                break
+            if r == mine:
+                ties.append((u, v))
+        else:
+            yield nh, g.edges + ((a, b),), sorted(ties)
 
 
 def _drop_edge(h: Graph, e: Edge) -> Graph:
@@ -267,9 +296,9 @@ def _keeps_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
 def _edge_children(args: tuple[_PruneKey, bool, list[tuple[bytes, Graph]]]
                    ) -> list[tuple[bytes, Graph]]:
     key, non_bipartite, parents = args
-    return _children(parents, lambda g: _edge_augmentations(g, key),
-                     _edge_ranks, _drop_edge,
-                     _keeps_odd_cycle if non_bipartite else _every_piece)
+    allowed = _keeps_odd_cycle if non_bipartite else _every_piece
+    return _children(parents, lambda g: _edge_growth(g, key, allowed),
+                     _drop_edge, allowed)
 
 
 def _chunks(items: list, size: int) -> list[list]:
@@ -293,21 +322,26 @@ def _levels_up_to(m: int, key: _PruneKey, jobs: int = 1,
             {},
             {canonical_form(path(2)): path(2)},
         ])
-    while len(levels) <= m:
-        k = len(levels)
-        parents = list(levels[-1].items())
-        if jobs > 1 and len(parents) >= 4 * jobs:
-            size = max(1, len(parents) // (4 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                blocks = list(ex.map(_edge_children,
-                                     [(key, non_bipartite, c)
-                                      for c in _chunks(parents, size)]))
-        else:
-            blocks = [_edge_children((key, non_bipartite, parents))]
-        # the root C_k, when the key allows closing the path P_k into it
-        if non_bipartite and k % 2 and _edge_allowed(path(k), 0, k - 1, key):
-            blocks.append([(canonical_form(cycle(k)), cycle(k))])
-        levels.append(_union(chain.from_iterable(blocks)))
+    with ExitStack() as stack:
+        pool = None  # started at the first level large enough to share
+        while len(levels) <= m:
+            k = len(levels)
+            parents = list(levels[-1].items())
+            if jobs > 1 and len(parents) >= 4 * jobs:
+                if pool is None:
+                    pool = stack.enter_context(
+                        ProcessPoolExecutor(max_workers=jobs))
+                size = max(1, len(parents) // (4 * jobs))
+                blocks = list(pool.map(_edge_children,
+                                       [(key, non_bipartite, c)
+                                        for c in _chunks(parents, size)]))
+            else:
+                blocks = [_edge_children((key, non_bipartite, parents))]
+            # the root C_k, when the key allows closing the path P_k into it
+            if (non_bipartite and k % 2
+                    and _edge_allowed(path(k), 0, k - 1, key)):
+                blocks.append([(canonical_form(cycle(k)), cycle(k))])
+            levels.append(_union(chain.from_iterable(blocks)))
     return levels
 
 
@@ -334,6 +368,8 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
     satisfy the filter, in canonical-form order."""
     if m < 1:
         raise GraphError("enumeration needs m >= 1")
+    if jobs < 1:
+        raise GraphError(f"jobs must be >= 1, got {jobs}")
     budget = edge_budget(filt)
     if m > budget:
         raise BudgetError(f"edge budget is m <= {budget} for {filt.describe()}")
@@ -352,18 +388,42 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
 _VERTEX_LEVELS: dict[bool, list[dict[bytes, Graph]]] = {}
 
 
-def _vertex_augmentations(g: Graph, triangle_free: bool
-                          ) -> Iterator[tuple[int, tuple, int]]:
+def _vertex_growth(g: Graph, triangle_free: bool
+                   ) -> Iterator[tuple[int, tuple, list[int]]]:
+    """(n, edges, ties) for every h = g + vertex k joined to a set S, in
+    which no vertex ranks below k; ties are the other vertices that rank
+    with k.  In h, each vertex of S gains the neighbour k of degree |S|,
+    and the neighbour-degree sum of every old vertex rises by its number of
+    neighbours in S."""
     k = g.n
-    for nb in range(1 << k):
-        new = [v for v in range(k) if nb >> v & 1]
-        if triangle_free and any(g.mask(v) & nb for v in new):
+    masks = g._masks
+    inv = _vertex_ranks(g)
+    ranked = sorted(zip(inv, range(k)))
+    ranks = [r for r, _ in ranked]
+    # the rank of k is a sum over S, so each S extends S minus its lowest
+    # vertex; -1 marks an S with an edge inside when that makes a triangle
+    new_rank = [0] * (1 << k)
+    for nb in range(1, 1 << k):
+        v = (nb & -nb).bit_length() - 1
+        rest = new_rank[nb & (nb - 1)]
+        new_rank[nb] = -1 if rest < 0 or triangle_free and masks[v] & nb \
+            else rest + _DEG_ONE + masks[v].bit_count() + 1
+    for nb, mine in enumerate(new_rank):
+        if mine < 0:
             continue
-        yield k + 1, g.edges + tuple((v, k) for v in new), k
-
-
-def _vertex_ranks(n: int, edges: tuple) -> dict[int, tuple]:
-    return dict(enumerate(_vertex_invariants(n, edges)))
+        size = mine >> _NDS_BITS
+        ties = []
+        for r, v in islice(ranked, bisect_right(ranks, mine)):
+            if nb >> v & 1:
+                r += _DEG_ONE + size
+            r += (masks[v] & nb).bit_count()
+            if r < mine:
+                break
+            if r == mine:
+                ties.append(v)
+        else:
+            yield k + 1, g.edges + tuple(
+                (v, k) for v in range(k) if nb >> v & 1), sorted(ties)
 
 
 def _drop_vertex(h: Graph, v: int) -> Graph:
@@ -383,8 +443,8 @@ def graphs_on_vertices(n: int, triangle_free: bool = True) -> list[Graph]:
     while len(levels) <= n:
         levels.append(_union(_children(
             levels[-1].items(),
-            lambda g: _vertex_augmentations(g, triangle_free),
-            _vertex_ranks, _drop_vertex, _every_piece)))
+            lambda g: _vertex_growth(g, triangle_free),
+            _drop_vertex, _every_piece)))
     return list(levels[n].values())
 
 

@@ -533,141 +533,219 @@ def is_induced_embedding(host: Graph, pat: Graph, emb: Embedding) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _refine_colors(n: int, masks: tuple[int, ...]) -> list[int]:
-    """Iterative color refinement by (color, multiset of neighbor colors).
+def _refine_colors(vs: Sequence[int], masks: Sequence[int]
+                   ) -> list[list[int]]:
+    """Iterative color refinement of the vertices vs, a union of components,
+    by (color, multiset of neighbor colors); the color classes, in color
+    order.
 
-    Color ids are assigned by sorted signature, so corresponding vertices of
-    isomorphic graphs always receive identical colors.
+    Colors are ranked by sorted signature, so corresponding vertices of
+    isomorphic graphs always receive identical colors.  A signature ranks
+    first by the old color, so only the members of one class are compared
+    by their neighbor colors, and each round refines the last: the
+    partition is stable once the class count stops growing.
     """
-    color = [masks[v].bit_count() for v in range(n)]
-    ids = {d: i for i, d in enumerate(sorted(set(color)))}
-    color = [ids[c] for c in color]
+    nbrs = {v: _bits(masks[v]) for v in vs}
+    by_degree: dict[int, list[int]] = {}
+    for v in vs:
+        by_degree.setdefault(len(nbrs[v]), []).append(v)
+    classes = [by_degree[d] for d in sorted(by_degree)]
+    color = [0] * len(masks)
     while True:
-        sig = []
-        for v in range(n):
-            nb = []
-            mv = masks[v]
-            while mv:
-                u = (mv & -mv).bit_length() - 1
-                mv &= mv - 1
-                nb.append(color[u])
-            nb.sort()
-            sig.append((color[v], tuple(nb)))
-        ids = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ids[s] for s in sig]
-        if new == color:
-            return color
-        color = new
+        for c, members in enumerate(classes):
+            for v in members:
+                color[v] = c
+        split: list[list[int]] = []
+        for members in classes:
+            if len(members) == 1:
+                split.append(members)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in members:
+                groups.setdefault(tuple(sorted([color[u] for u in nbrs[v]])),
+                                  []).append(v)
+            split.extend(groups[key] for key in sorted(groups))
+        if len(split) == len(classes):
+            return classes
+        classes = split
 
 
-def _canon_connected_perm(n: int, masks: tuple[int, ...]) -> list[int]:
-    """Ordering (position -> vertex) maximizing the adjacency bit string,
-    searched within refinement color classes (high-degree classes first)
-    with prefix pruning and twin-candidate collapsing."""
-    if n == 1:
-        return [0]
-    color = _refine_colors(n, masks)
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(color):
-        by_color.setdefault(c, []).append(v)
-    class_order = sorted(by_color, reverse=True)
-    if len(by_color) == n:
-        # discrete partition: the ordering is forced
-        return [by_color[c][0] for c in class_order]
-    pos_class: list[int] = []
-    for c in class_order:
-        pos_class.extend([c] * len(by_color[c]))
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
+
+def _canon_component(vs: Sequence[int], masks: Sequence[int]
+                     ) -> tuple[list[int], list[int]]:
+    """(order, cols) of the canonical labelling of the connected graph on
+    vs: order[t] is the vertex at position t and cols[t] its adjacency to
+    positions 0..t-1, position 0 the most significant bit, which is graph6
+    column t.  The ordering maximizes cols, searched within refinement color
+    classes (high-degree classes first) with prefix pruning and
+    twin-candidate collapsing."""
+    n = len(vs)
+    pos_class: list[int] = []  # position -> its color class as a vertex mask
+    for members in _refine_colors(vs, masks)[::-1]:
+        pos_class.extend([sum(1 << v for v in members)] * len(members))
+
+    # codes[w] holds the adjacency of w to the vertex at position i in bit
+    # n-1-i, so placing a vertex sets one bit in each unplaced neighbour,
+    # and at depth t the code is column t shifted left by n-t
+    best_cols: list[int] = []
+    best_perm: list[int] = []
+    found = 0  # leaves that set a new best so far
     cur_cols = [0] * n
     cur_perm = [0] * n
-    codes = [0] * n  # adjacency code of v against the placed prefix
-    full = (1 << n) - 1
+    codes = [0] * len(masks)
+    shift = len(masks)  # twin keys pack (code, mask) as code << shift | mask
 
-    def dfs(t: int, used: int, state_eq: bool) -> None:
-        nonlocal best_cols, best_perm
-        if t == n:
-            if best_cols is None or cur_cols > best_cols:
-                best_cols = cur_cols.copy()
-                best_perm = cur_perm.copy()
-            return
-        unplaced = full & ~used
-        cands = []
-        seen_n: set[tuple[int, int]] = set()
-        seen_a: set[tuple[int, int]] = set()
-        for v in by_color[pos_class[t]]:
-            if used >> v & 1:
-                continue
-            code = codes[v]
-            # candidates that are twins of an already-listed one lead to the
-            # same subtree maximum (swap them by an automorphism), so skip
-            key_n = (code, masks[v] & unplaced)
-            key_a = (code, (masks[v] | 1 << v) & unplaced)
-            if key_n in seen_n or key_a in seen_a:
-                continue
-            seen_n.add(key_n)
-            seen_a.add(key_a)
-            cands.append((code, v))
-        cands.sort(reverse=True)
-        for code, v in cands:
-            eq = state_eq
-            if best_cols is not None and eq:
-                if code < best_cols[t]:
-                    break  # descending order: the rest are worse
-                if code > best_cols[t]:
-                    eq = False
+    def dfs(t: int, unplaced: int, eq: bool) -> None:
+        """Extend the ordering cur_perm[:t]; eq says whether its codes equal
+        best_cols[:t], the only case in which best_cols bounds the search
+        (the first leaf below a greater prefix replaces the best)."""
+        nonlocal best_cols, best_perm, found
+        # positions with a single candidate are placed in this frame, and
+        # undone on the way out
+        forced: list[tuple[int, int]] = []
+        while True:
+            if t == n:
+                if not eq:
+                    best_cols = cur_cols.copy()
+                    best_perm = cur_perm.copy()
+                    found += 1
+                break
+            bound = best_cols[t] if eq else -1
+            avail = pos_class[t] & unplaced
+            cands = []
+            if avail & (avail - 1):
+                seen_n: set[int] = set()
+                seen_a: set[int] = set()
+                while avail:
+                    v = (avail & -avail).bit_length() - 1
+                    avail &= avail - 1
+                    code = codes[v]
+                    if code < bound:
+                        continue
+                    # candidates that are twins of an already-listed one
+                    # lead to the same subtree maximum (swap them by an
+                    # automorphism), so skip
+                    key_n = code << shift | (masks[v] & unplaced)
+                    key_a = code << shift | ((masks[v] | 1 << v) & unplaced)
+                    if key_n in seen_n or key_a in seen_a:
+                        continue
+                    seen_n.add(key_n)
+                    seen_a.add(key_a)
+                    cands.append((code, v))
+            else:
+                v = avail.bit_length() - 1
+                if codes[v] >= bound:
+                    cands.append((codes[v], v))
+            if not cands:
+                break
+            bit = 1 << (n - 1 - t)
+            if len(cands) > 1:
+                cands.sort(reverse=True)
+                for code, v in cands:
+                    if code < bound:
+                        break  # below the best found under a sibling
+                    cur_cols[t] = code
+                    cur_perm[t] = v
+                    rest = unplaced & ~(1 << v)
+                    nb = masks[v] & rest
+                    r = nb
+                    while r:
+                        w = (r & -r).bit_length() - 1
+                        r &= r - 1
+                        codes[w] |= bit
+                    before = found
+                    dfs(t + 1, rest, code == bound)
+                    if found != before:
+                        bound = best_cols[t]  # the new best shares this prefix
+                    r = nb
+                    while r:
+                        w = (r & -r).bit_length() - 1
+                        r &= r - 1
+                        codes[w] ^= bit
+                break
+            code, v = cands[0]
+            eq = code == bound
             cur_cols[t] = code
             cur_perm[t] = v
-            mv = masks[v]
-            rest = unplaced & ~(1 << v)
-            r = rest
+            unplaced &= ~(1 << v)
+            nb = masks[v] & unplaced
+            r = nb
             while r:
                 w = (r & -r).bit_length() - 1
                 r &= r - 1
-                codes[w] = codes[w] << 1 | (mv >> w & 1)
-            dfs(t + 1, used | 1 << v, eq)
-            r = rest
+                codes[w] |= bit
+            forced.append((nb, bit))
+            t += 1
+        for r, bit in forced:
             while r:
                 w = (r & -r).bit_length() - 1
                 r &= r - 1
-                codes[w] >>= 1
+                codes[w] ^= bit
 
-    dfs(0, 0, True)
-    assert best_perm is not None
-    return best_perm
+    dfs(0, sum(1 << v for v in vs), False)
+    return best_perm, [code >> (n - t) for t, code in enumerate(best_cols)]
 
 
-def _canon_component(g: Graph) -> Graph:
-    order = _canon_connected_perm(g.n, g._masks)
-    # order[t] = original vertex at position t; relabel wants old -> new
-    perm = [0] * g.n
-    for t, v in enumerate(order):
-        perm[v] = t
-    return g.relabel(perm)
+def _graph6_bytes(n: int, cols: Sequence[int]) -> bytes:
+    """graph6 of the graph whose column t (adjacency of vertex t to
+    0..t-1, vertex 0 the most significant bit) is cols[t]."""
+    bits = 0
+    for t in range(1, n):
+        bits = bits << t | cols[t]
+    width = n * (n - 1) // 2
+    pad = -width % 6
+    bits <<= pad
+    return bytes([63 + n] + [63 + (bits >> s & 63)
+                             for s in range(width + pad - 6, -1, -6)])
 
 
 @lru_cache(maxsize=1 << 18)
-def canonical_graph(g: Graph) -> Graph:
-    """Canonically relabeled copy; equal results iff isomorphic inputs."""
+def _canonical_labelling(g: Graph) -> tuple[tuple[int, ...], bytes]:
+    """(order, graph6 bytes) of the canonical relabelling of g, where
+    order[t] is the vertex of g placed at position t.  Components are
+    labelled on their own and follow one another in (n, edges) order of
+    their canonical copies."""
     if g.n > CANONICAL_MAX_N:
         raise SizeLimitError(f"canonical form limited to n <= {CANONICAL_MAX_N}")
     comps = connected_components(g)
     if len(comps) <= 1:
-        return _canon_component(g)
-    pieces = sorted(
-        (_canon_component(g.induced(c)) for c in comps),
-        key=lambda h: (h.n, h.edges),
-    )
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = disjoint_union(out, piece)
-    return out
+        order, cols = _canon_component(range(g.n), g._masks)
+        return tuple(order), _graph6_bytes(g.n, cols)
+    labelled = []
+    for comp in comps:
+        order, cols = _canon_component(comp, g._masks)
+        k = len(comp)
+        edges = tuple((i, j) for i in range(k) for j in range(i + 1, k)
+                      if cols[j] >> (j - 1 - i) & 1)
+        labelled.append(((k, edges), order, cols))
+    labelled.sort(key=lambda piece: piece[0])
+    return (tuple(v for _, order, _ in labelled for v in order),
+            _graph6_bytes(g.n, [c for _, _, cols in labelled for c in cols]))
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """Canonically relabeled copy; equal results iff isomorphic inputs."""
+    perm = [0] * g.n
+    for t, v in enumerate(_canonical_labelling(g)[0]):
+        perm[v] = t
+    return g.relabel(perm)
+
+
+# both canonical functions read the one labelling cache; its statistics are
+# published under the public name
+canonical_graph.cache_info = _canonical_labelling.cache_info
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: the graph6 encoding of the canonical relabeling."""
-    return to_graph6(canonical_graph(g)).encode("ascii")
+    return _canonical_labelling(g)[1]
 
 
 # ---------------------------------------------------------------------------

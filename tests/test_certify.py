@@ -27,6 +27,7 @@ from specbound.certify import (
 )
 from specbound.graphs import (
     Graph,
+    GraphError,
     blow_up,
     canonical_form,
     canonical_graph,
@@ -171,6 +172,38 @@ class TestEnumeration:
         serial = certify._levels_up_to(7, key)
         assert starts
         assert pooled == serial
+
+    @pytest.mark.parametrize("non_bipartite", [False, True])
+    def test_one_pool_per_build(self, monkeypatch, non_bipartite):
+        key = (True, False, None)
+        real = certify.ProcessPoolExecutor
+        starts = []
+
+        def counting_pool(*args, **kwargs):
+            starts.append(kwargs)
+            return real(*args, **kwargs)
+
+        def fresh_build(jobs):
+            monkeypatch.setattr(certify, "_LEVELS", {})
+            monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
+            levels = certify._levels_up_to(9, key, jobs, non_bipartite)
+            return [list(level.items()) for level in levels]
+
+        monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
+        pooled = fresh_build(2)
+        assert len(starts) == 1
+        assert pooled == fresh_build(1)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, monkeypatch, jobs):
+        starts = []
+        monkeypatch.setattr(certify, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: starts.append(kwargs))
+        monkeypatch.setattr(certify, "_LEVELS", {})
+        with pytest.raises(GraphError, match="jobs"):
+            list(enumerate_graphs(9, ClassFilter(triangle_free=True), jobs))
+        assert not starts
+        assert not certify._LEVELS
 
     def test_class_from_two_parents_is_an_error(self):
         g = path(3)

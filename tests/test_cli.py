@@ -123,6 +123,16 @@ class TestCommands:
         assert code == 1
         assert "budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("certify", "zhai-shu", "7", "--jobs", "0"),
+        ("enumerate", "5", "--jobs", "-1"),
+        ("explore", "booksize", "3", "--jobs", "0"),
+    ])
+    def test_jobs_below_one_exit_1(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "jobs" in err
+
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "not-a-theorem", "5"])

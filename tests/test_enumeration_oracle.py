@@ -6,8 +6,12 @@ enumerators used before canonical augmentation.  It shares only the pruning
 rule (`_edge_allowed`) and `canonical_form` with them, so equal canonical-form
 sets check the acceptance rule independently.  The non-bipartite levels,
 grown from odd cycles, are checked against the full levels filtered by
-`is_bipartite`.
+`is_bipartite`.  Digests recorded from the earlier relabel-then-encode
+labelling pin `canonical_form` and the stored levels bit for bit, and the
+full-rank step-1 rule is kept here as the reference for the incremental one.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import example, given
@@ -16,6 +20,7 @@ from specbound import certify
 from specbound.certify import (
     ClassFilter,
     _edge_allowed,
+    _every_piece,
     _keeps_odd_cycle,
     _prune_key,
 )
@@ -24,11 +29,12 @@ from specbound.graphs import (
     canonical_form,
     cycle,
     disjoint_union,
+    empty_graph,
     is_bipartite,
     path,
 )
 
-from conftest import graphs_st
+from conftest import graphs_st, seeded_graphs
 
 MAX_M = 8
 MAX_N = 7
@@ -130,3 +136,123 @@ def test_only_odd_cycles_lack_an_allowed_piece(g):
     odd_cycle = h.n % 2 == 1 and canonical_form(h) == canonical_form(
         cycle(h.n))
     assert (not pieces) == odd_cycle
+
+
+# sha256 digests recorded before canonical forms were read off the labelling
+# search; a labelling that is valid but different changes them
+CORPUS_DIGEST = (
+    "0c7f74d91960f8eb7fc9abc63617a287ba1b5a5fc23b29c71b3077c9247e35e3")
+TRIANGLE_FREE_LEVELS_DIGEST = (
+    "ca2e4c0fdd268c2767e56751b51db875c273845a699121ffa5e437fd9802776d")
+VERTEX_LEVEL_7_DIGEST = (
+    "04e158d8ede90da5b2bdfeb204dcbd96e8d1e9edbbe9c03718bc7b2793e66988")
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_canonical_forms_pinned():
+    corpus = seeded_graphs(8, 1000, 12)
+    assert digest(b"\n".join(canonical_form(g) for g in corpus)) \
+        == CORPUS_DIGEST
+
+
+def test_edge_levels_pinned(monkeypatch):
+    monkeypatch.setattr(certify, "_LEVELS", {})
+    levels = certify._levels_up_to(9, (True, False, None))
+    assert list(map(len, levels)) == [0, 1, 2, 4, 9, 19, 45, 105, 267, 702]
+    assert digest(repr([[(c, g.n, g.edges) for c, g in level.items()]
+                        for level in levels]).encode()) \
+        == TRIANGLE_FREE_LEVELS_DIGEST
+
+
+def test_vertex_level_pinned(monkeypatch):
+    monkeypatch.setattr(certify, "_VERTEX_LEVELS", {})
+    graphs = certify.graphs_on_vertices(7)
+    level = certify._VERTEX_LEVELS[True][7]
+    assert list(level.values()) == graphs and len(graphs) == 107
+    assert digest(repr([(c, g.n, g.edges) for c, g in level.items()])
+                  .encode()) == VERTEX_LEVEL_7_DIGEST
+
+
+# The full-rank step-1 rule: rank every piece of h afresh by the
+# (degree, neighbour-degree sum) of its vertices.
+
+
+def vertex_invariants(n: int, edges: tuple) -> list[tuple[int, int]]:
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    nds = [0] * n
+    for u, v in edges:
+        nds[u] += deg[v]
+        nds[v] += deg[u]
+    return list(zip(deg, nds))
+
+
+def edge_ranks(n: int, edges: tuple) -> dict:
+    inv = vertex_invariants(n, edges)
+    return {(u, v): (min(inv[u], inv[v]), max(inv[u], inv[v]))
+            for u, v in edges}
+
+
+def vertex_ranks(n: int, edges: tuple) -> dict:
+    return dict(enumerate(vertex_invariants(n, edges)))
+
+
+def edge_augmentations(g: Graph, key):
+    n = g.n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.has_edge(u, v) and _edge_allowed(g, u, v, key):
+                yield n, g.edges + ((u, v),), (u, v)
+    for u in range(n):
+        yield n + 1, g.edges + ((u, n),), (u, n)
+    yield n + 2, g.edges + ((n, n + 1),), (n, n + 1)
+
+
+def vertex_augmentations(g: Graph, triangle_free: bool):
+    k = g.n
+    for nb in range(1 << k):
+        new = [v for v in range(k) if nb >> v & 1]
+        if triangle_free and any(g.mask(v) & nb for v in new):
+            continue
+        yield k + 1, g.edges + tuple((v, k) for v in new), k
+
+
+def reference_step_one(augmentations, ranks, allowed) -> list:
+    """(n, edges, ties) for every augmentation in which no allowed piece
+    ranks below the new one, `allowed` asked only about lower pieces."""
+    out = []
+    for n, edges, piece in augmentations:
+        rank = ranks(n, edges)
+        mine = rank[piece]
+        if any(r < mine and allowed(n, edges, f) for f, r in rank.items()):
+            continue
+        out.append((n, edges, [f for f, r in rank.items()
+                               if r == mine and f != piece]))
+    return out
+
+
+@pytest.mark.parametrize("allowed", [_every_piece, _keeps_odd_cycle],
+                         ids=lambda f: f.__name__)
+@given(graphs_st(max_n=8))
+@example(empty_graph(0))
+@example(cycle(5))
+@example(disjoint_union(cycle(5), path(3)))
+def test_edge_step_one_matches_full_rank_rule(allowed, g):
+    key = (False, False, None)
+    want = reference_step_one(edge_augmentations(g, key), edge_ranks, allowed)
+    assert list(certify._edge_growth(g, key, allowed)) == want
+
+
+@pytest.mark.parametrize("triangle_free", [False, True])
+@given(graphs_st(max_n=7))
+@example(empty_graph(0))
+@example(cycle(5))
+def test_vertex_step_one_matches_full_rank_rule(triangle_free, g):
+    want = reference_step_one(vertex_augmentations(g, triangle_free),
+                              vertex_ranks, _every_piece)
+    assert list(certify._vertex_growth(g, triangle_free)) == want

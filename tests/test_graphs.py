@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 
 from specbound import spectra
 from specbound.graphs import (
+    CANONICAL_MAX_N,
     GALLERY_SPECTRA,
     Embedding,
     Graph,
     GraphError,
     Graph6Error,
     PatternId,
+    SizeLimitError,
     blow_up,
     book,
     booksize,
@@ -49,6 +52,20 @@ from conftest import graphs_st, random_graph, seeded_graphs
 
 def iso(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
+
+
+@st.composite
+def unions_st(draw, max_n: int = 10):
+    """Up to four random graphs and some isolated vertices side by side, at
+    most max_n vertices in all, relabelled at random."""
+    budget = draw(st.integers(0, max_n))
+    g = empty_graph(0)
+    for _ in range(draw(st.integers(0, 4))):
+        if g.n == budget:
+            break
+        g = disjoint_union(g, draw(graphs_st(max_n=budget - g.n)))
+    g = disjoint_union(g, empty_graph(draw(st.integers(0, budget - g.n))))
+    return g.relabel(draw(st.permutations(range(g.n))))
 
 
 class TestConstructions:
@@ -400,6 +417,39 @@ class TestCanonicalForm:
         a = disjoint_union(cycle(5), path(2))
         b = disjoint_union(path(2), cycle(5))
         assert canonical_form(a) == canonical_form(b)
+
+    @given(unions_st())
+    def test_canonical_form_is_graph6_of_canonical_graph(self, g):
+        assert canonical_form(g) == to_graph6(canonical_graph(g)).encode("ascii")
+
+    def test_cubic_graph_labels_quickly(self):
+        # one refinement class and no twins: only the prefix bound prunes,
+        # and it must tighten after every new best, or this search takes
+        # seconds (about 2.5 s without that) where it needs milliseconds
+        rng = random.Random(1)
+        while True:
+            ends = [v for v in range(12) for _ in range(3)]
+            rng.shuffle(ends)
+            edges = {tuple(sorted(p)) for p in zip(ends[::2], ends[1::2])}
+            if len(edges) == 18 and all(u != v for u, v in edges):
+                break
+        g = Graph(12, tuple(edges))
+        start = time.perf_counter()
+        form = canonical_form(g)
+        assert time.perf_counter() - start < 1.0
+        perm = list(range(12))
+        rng.shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == form
+
+    def test_size_limit(self):
+        top = path(CANONICAL_MAX_N)
+        assert canonical_form(top) == to_graph6(canonical_graph(top)).encode(
+            "ascii")
+        g = path(CANONICAL_MAX_N + 1)
+        with pytest.raises(SizeLimitError):
+            canonical_form(g)
+        with pytest.raises(SizeLimitError):
+            canonical_graph(g)
 
 
 class TestGraph6:
