@@ -11,7 +11,12 @@ C5-free, bounded odd girth) prune during growth.  A non-bipartite class is
 grown on its own, from the odd cycles its pruning allows, with the edges
 whose deletion leaves an odd cycle as the pieces, so no bipartite class is
 ever built; connectivity filters at the end.  Mantel and Erdos checks use
-the vertex-indexed enumeration, which adds one vertex at a time.  The tests
+the vertex-indexed enumeration, which adds one vertex at a time.  Both take
+the orbit step of the construction with the automorphisms the labelling
+search meets: a parent is augmented once per orbit of its automorphism
+group, and a tied piece in the new piece's orbit is never deleted to test
+the child (McKay & Piperno, "Practical graph isomorphism II", J. Symb.
+Comput. 2014, for automorphisms read off the search).  The tests
 compare both with a reference generator that deduplicates every augmentation
 by canonical form, and the non-bipartite levels with the full levels
 filtered by bipartiteness.
@@ -36,6 +41,7 @@ from .graphs import (
     Edge,
     Graph,
     GraphError,
+    automorphism_generators,
     canonical_form,
     canonical_graph,
     complete_bipartite,
@@ -132,21 +138,69 @@ def _children(parents: Iterable[tuple[bytes, Graph]],
     makes allowed) and no tied allowed piece leaves a greater parent.
     `grow(g)` applies the first test: it yields (n, edges, ties) for every
     h that passes it, with the other pieces of h that tie with the new one.
-    Two qualifying pieces may lie in different orbits, so the children of
-    one parent are also deduplicated by canonical form.
+    The new piece is the last edge of an edge child and the last vertex of
+    a vertex child.
+
+    The orbit step of the construction uses the automorphisms the labelling
+    search met (graphs.automorphism_generators).  Of the augmentations in
+    one Aut(g)-orbit of added edges only the first is kept: the others give
+    isomorphic children with the same outcome of both tests.  A tied piece
+    in the new piece's Aut(h)-orbit leaves a copy of g, which cannot beat
+    g's own form, so it is not deleted.  Two qualifying pieces may still lie
+    in different orbits, so the children of one parent are also
+    deduplicated by canonical form.
     """
     out: list[tuple[bytes, Graph]] = []
     for parent_key, g in parents:
         kids: dict[bytes, Graph] = {}
+        # new vertices are fixed
+        gens = [p + bytes((g.n, g.n + 1)) for p in automorphism_generators(g)]
+        seen: set[frozenset] = set()  # added edges of the orbits met so far
         for n, edges, ties in grow(g):
+            if gens:
+                added = frozenset(edges[g.m:])
+                if added in seen:
+                    continue
+                seen |= _orbit(added, gens, _moved_edges)
             h = Graph(n, edges)
-            if any(allowed(n, edges, f)
-                   and canonical_form(delete(h, f)) > parent_key
-                   for f in ties):
-                continue
-            kids.setdefault(canonical_form(h), h)
+            key = canonical_form(h)  # also labels h for its generators
+            if ties:
+                new = n - 1 if type(ties[0]) is int else edges[-1]
+                copies = _orbit(new, automorphism_generators(h), _moved)
+                if any(f not in copies and allowed(n, edges, f)
+                       and canonical_form(delete(h, f)) > parent_key
+                       for f in ties):
+                    continue
+            kids.setdefault(key, h)
         out.extend(kids.items())
     return out
+
+
+def _moved(p: bytes, piece):
+    """The image of a piece, a vertex or an edge, under the vertex
+    permutation p."""
+    if type(piece) is int:
+        return p[piece]
+    u, v = p[piece[0]], p[piece[1]]
+    return (u, v) if u < v else (v, u)
+
+
+def _moved_edges(p: bytes, edges: frozenset) -> frozenset:
+    return frozenset(_moved(p, e) for e in edges)
+
+
+def _orbit(x, gens: Iterable[bytes], act: Callable) -> set:
+    """The orbit of x under the group that gens generate, acting by act."""
+    orbit = {x}
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for p in gens:
+            z = act(p, y)
+            if z not in orbit:
+                orbit.add(z)
+                stack.append(z)
+    return orbit
 
 
 def _every_piece(n: int, edges: tuple, piece) -> bool:
@@ -278,9 +332,12 @@ def _edge_growth(g: Graph, key: _PruneKey,
 
 
 def _drop_edge(h: Graph, e: Edge) -> Graph:
-    """h - e without the isolated vertices it leaves."""
-    rest = Graph(h.n, tuple(f for f in h.edges if f != e))
-    return rest.induced(v for v in range(h.n) if rest.mask(v))
+    """h - e without the isolated vertices it leaves: the ends of e that
+    have no other neighbour."""
+    lost = [v for v in e if h.degree(v) == 1]
+    if lost:
+        return h.induced(v for v in range(h.n) if v not in lost)
+    return Graph(h.n, tuple(f for f in h.edges if f != e))
 
 
 def _keeps_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:

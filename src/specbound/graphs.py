@@ -536,57 +536,81 @@ def is_induced_embedding(host: Graph, pat: Graph, emb: Embedding) -> bool:
 def _refine_colors(vs: Sequence[int], masks: Sequence[int]
                    ) -> list[list[int]]:
     """Iterative color refinement of the vertices vs, a union of components,
-    by (color, multiset of neighbor colors); the color classes, in color
-    order.
+    by (color, number of neighbours in each color class); the color
+    classes, in color order.
 
-    Colors are ranked by sorted signature, so corresponding vertices of
-    isomorphic graphs always receive identical colors.  A signature ranks
-    first by the old color, so only the members of one class are compared
-    by their neighbor colors, and each round refines the last: the
-    partition is stable once the class count stops growing.
+    A class splits by its members' neighbour counts per class, larger
+    counts first: its members share a degree, so that is the order of their
+    sorted neighbour colours, and corresponding vertices of isomorphic
+    graphs always receive identical colors.  Each round refines the last,
+    so the partition is stable once no class splits, and a class can split
+    only when a class it touches split in the round before.
     """
-    nbrs = {v: _bits(masks[v]) for v in vs}
     by_degree: dict[int, list[int]] = {}
     for v in vs:
-        by_degree.setdefault(len(nbrs[v]), []).append(v)
+        by_degree.setdefault(masks[v].bit_count(), []).append(v)
     classes = [by_degree[d] for d in sorted(by_degree)]
-    color = [0] * len(masks)
+    if len(classes) == 1:
+        return classes  # regular: every count is the degree
+    class_masks = [sum(1 << v for v in members) for members in classes]
+    moved = -1  # the vertices of the classes that split in the last round
     while True:
-        for c, members in enumerate(classes):
-            for v in members:
-                color[v] = c
         split: list[list[int]] = []
-        for members in classes:
-            if len(members) == 1:
-                split.append(members)
-                continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in members:
-                groups.setdefault(tuple(sorted([color[u] for u in nbrs[v]])),
-                                  []).append(v)
-            split.extend(groups[key] for key in sorted(groups))
-        if len(split) == len(classes):
+        split_masks: list[int] = []
+        now_moved = 0
+        for members, cm in zip(classes, class_masks):
+            if len(members) > 1:
+                reach = 0
+                for v in members:
+                    reach |= masks[v]
+                if reach & moved:
+                    near = [c for c in class_masks if c & reach]
+                    groups: dict[tuple[int, ...], list[int]] = {}
+                    for v in members:
+                        mv = masks[v]
+                        groups.setdefault(
+                            tuple([(mv & c).bit_count() for c in near]),
+                            []).append(v)
+                    if len(groups) > 1:
+                        now_moved |= cm
+                        for key in sorted(groups, reverse=True):
+                            group = groups[key]
+                            split.append(group)
+                            split_masks.append(sum(1 << v for v in group))
+                        continue
+            split.append(members)
+            split_masks.append(cm)
+        if not now_moved:
             return classes
-        classes = split
+        classes, class_masks, moved = split, split_masks, now_moved
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
+def _transposition(size: int, v: int, w: int) -> bytes:
+    p = bytearray(range(size))
+    p[v], p[w] = w, v
+    return bytes(p)
 
 
 def _canon_component(vs: Sequence[int], masks: Sequence[int]
-                     ) -> tuple[list[int], list[int]]:
-    """(order, cols) of the canonical labelling of the connected graph on
-    vs: order[t] is the vertex at position t and cols[t] its adjacency to
+                     ) -> tuple[list[int], list[int], list[bytes]]:
+    """(order, cols, gens) of the canonical labelling of the connected graph
+    on vs: order[t] is the vertex at position t and cols[t] its adjacency to
     positions 0..t-1, position 0 the most significant bit, which is graph6
     column t.  The ordering maximizes cols, searched within refinement color
     classes (high-degree classes first) with prefix pruning and
-    twin-candidate collapsing."""
+    twin-candidate collapsing.
+
+    gens generate the automorphisms of the component, as permutations of
+    all len(masks) vertices that fix the other ones (p[v] is the image of
+    v): the map best order -> order of every later leaf with the same cols,
+    and transpositions that join the twins the search skipped into classes.
+    Swapping a skipped twin with the listed one maps its subtree onto a
+    visited one, so every leaf with the best cols is the image of a visited
+    one under the twin swaps, and the leaf maps reach every visited one:
+    together they act transitively on the best leaves, on which the
+    automorphism group acts regularly."""
     n = len(vs)
+    size = len(masks)
     pos_class: list[int] = []  # position -> its color class as a vertex mask
     for members in _refine_colors(vs, masks)[::-1]:
         pos_class.extend([sum(1 << v for v in members)] * len(members))
@@ -599,8 +623,16 @@ def _canon_component(vs: Sequence[int], masks: Sequence[int]
     found = 0  # leaves that set a new best so far
     cur_cols = [0] * n
     cur_perm = [0] * n
-    codes = [0] * len(masks)
-    shift = len(masks)  # twin keys pack (code, mask) as code << shift | mask
+    codes = [0] * size
+    shift = size  # twin keys pack (code, mask) as code << shift | mask
+    leaf_maps: list[bytes] = []  # best -> later leaf with the same cols
+    twins: list[tuple[int, int]] = []  # one skipped pair per class merge
+    twin_root = list(range(size))  # twin classes merged so far
+
+    def root(v: int) -> int:
+        while twin_root[v] != v:
+            v = twin_root[v]
+        return v
 
     def dfs(t: int, unplaced: int, eq: bool) -> None:
         """Extend the ordering cur_perm[:t]; eq says whether its codes equal
@@ -616,13 +648,19 @@ def _canon_component(vs: Sequence[int], masks: Sequence[int]
                     best_cols = cur_cols.copy()
                     best_perm = cur_perm.copy()
                     found += 1
+                    leaf_maps.clear()  # maps between worse leaves
+                else:
+                    p = bytearray(range(size))
+                    for b, c in zip(best_perm, cur_perm):
+                        p[b] = c
+                    leaf_maps.append(bytes(p))
                 break
             bound = best_cols[t] if eq else -1
             avail = pos_class[t] & unplaced
             cands = []
             if avail & (avail - 1):
-                seen_n: set[int] = set()
-                seen_a: set[int] = set()
+                seen_n: dict[int, int] = {}
+                seen_a: dict[int, int] = {}
                 while avail:
                     v = (avail & -avail).bit_length() - 1
                     avail &= avail - 1
@@ -634,10 +672,15 @@ def _canon_component(vs: Sequence[int], masks: Sequence[int]
                     # automorphism), so skip
                     key_n = code << shift | (masks[v] & unplaced)
                     key_a = code << shift | ((masks[v] | 1 << v) & unplaced)
-                    if key_n in seen_n or key_a in seen_a:
+                    w = seen_n.get(key_n, seen_a.get(key_a, -1))
+                    if w >= 0:
+                        rw, rv = root(w), root(v)
+                        if rw != rv:
+                            twin_root[rv] = rw
+                            twins.append((w, v))
                         continue
-                    seen_n.add(key_n)
-                    seen_a.add(key_a)
+                    seen_n[key_n] = v
+                    seen_a[key_a] = v
                     cands.append((code, v))
             else:
                 v = avail.bit_length() - 1
@@ -690,7 +733,8 @@ def _canon_component(vs: Sequence[int], masks: Sequence[int]
                 codes[w] ^= bit
 
     dfs(0, sum(1 << v for v in vs), False)
-    return best_perm, [code >> (n - t) for t, code in enumerate(best_cols)]
+    return (best_perm, [code >> (n - t) for t, code in enumerate(best_cols)],
+            leaf_maps + [_transposition(size, v, w) for v, w in twins])
 
 
 def _graph6_bytes(n: int, cols: Sequence[int]) -> bytes:
@@ -707,27 +751,39 @@ def _graph6_bytes(n: int, cols: Sequence[int]) -> bytes:
 
 
 @lru_cache(maxsize=1 << 18)
-def _canonical_labelling(g: Graph) -> tuple[tuple[int, ...], bytes]:
-    """(order, graph6 bytes) of the canonical relabelling of g, where
-    order[t] is the vertex of g placed at position t.  Components are
-    labelled on their own and follow one another in (n, edges) order of
-    their canonical copies."""
+def _canonical_labelling(g: Graph
+                         ) -> tuple[tuple[int, ...], bytes, tuple[bytes, ...]]:
+    """(order, graph6 bytes, gens) of the canonical relabelling of g, where
+    order[t] is the vertex of g placed at position t and gens generate
+    Aut(g) (see automorphism_generators).  Components are labelled on their
+    own and follow one another in (n, edges) order of their canonical
+    copies; Aut(g) is generated by the automorphisms of each component and
+    the swaps of consecutive components with equal canonical copies."""
     if g.n > CANONICAL_MAX_N:
         raise SizeLimitError(f"canonical form limited to n <= {CANONICAL_MAX_N}")
     comps = connected_components(g)
     if len(comps) <= 1:
-        order, cols = _canon_component(range(g.n), g._masks)
-        return tuple(order), _graph6_bytes(g.n, cols)
+        order, cols, gens = _canon_component(range(g.n), g._masks)
+        return tuple(order), _graph6_bytes(g.n, cols), tuple(gens)
     labelled = []
+    gens = []
     for comp in comps:
-        order, cols = _canon_component(comp, g._masks)
+        order, cols, comp_gens = _canon_component(comp, g._masks)
         k = len(comp)
         edges = tuple((i, j) for i in range(k) for j in range(i + 1, k)
                       if cols[j] >> (j - 1 - i) & 1)
         labelled.append(((k, edges), order, cols))
+        gens += comp_gens
     labelled.sort(key=lambda piece: piece[0])
+    for (copy, order, _), (nxt, other, _) in zip(labelled, labelled[1:]):
+        if copy == nxt:
+            p = bytearray(range(g.n))
+            for v, w in zip(order, other):
+                p[v], p[w] = w, v
+            gens.append(bytes(p))
     return (tuple(v for _, order, _ in labelled for v in order),
-            _graph6_bytes(g.n, [c for _, _, cols in labelled for c in cols]))
+            _graph6_bytes(g.n, [c for _, _, cols in labelled for c in cols]),
+            tuple(gens))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -738,7 +794,7 @@ def canonical_graph(g: Graph) -> Graph:
     return g.relabel(perm)
 
 
-# both canonical functions read the one labelling cache; its statistics are
+# every canonical function reads the one labelling cache; its statistics are
 # published under the public name
 canonical_graph.cache_info = _canonical_labelling.cache_info
 
@@ -746,6 +802,16 @@ canonical_graph.cache_info = _canonical_labelling.cache_info
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: the graph6 encoding of the canonical relabeling."""
     return _canonical_labelling(g)[1]
+
+
+def automorphism_generators(g: Graph) -> tuple[bytes, ...]:
+    """Generators of the automorphism group of g, each a permutation p of
+    the vertices with p[v] the image of v; empty when the group is trivial.
+
+    They are the automorphisms the labelling search meets on its way to the
+    canonical form, so after canonical_form(g) reading them costs a cache
+    hit and no search."""
+    return _canonical_labelling(g)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,49 @@ def test_vertex_step_one_matches_full_rank_rule(triangle_free, g):
     want = reference_step_one(vertex_augmentations(g, triangle_free),
                               vertex_ranks, _every_piece)
     assert list(certify._vertex_growth(g, triangle_free)) == want
+
+
+# The orbit step of `_children` (skip augmentations in the Aut(g)-orbit of an
+# earlier one, and tied pieces in the new piece's Aut(h)-orbit) must change
+# nothing but the work done: without automorphisms the same levels come out.
+
+
+def build_levels(monkeypatch, orbits: bool, build) -> tuple[list, int]:
+    """(levels as (form, n, edges) lists, canonical_form calls) of a fresh
+    build, with or without the automorphisms of the labelling search."""
+    for cache in ("_LEVELS", "_NON_BIPARTITE_LEVELS", "_VERTEX_LEVELS"):
+        monkeypatch.setattr(certify, cache, {})
+    if not orbits:
+        monkeypatch.setattr(certify, "automorphism_generators", lambda g: ())
+    calls = []
+
+    def counting_form(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(certify, "canonical_form", counting_form)
+    levels = build()
+    monkeypatch.undo()
+    return ([[(c, g.n, g.edges) for c, g in level.items()]
+             for level in levels], len(calls))
+
+
+def vertex_levels(n: int, triangle_free: bool) -> list:
+    certify.graphs_on_vertices(n, triangle_free)
+    return certify._VERTEX_LEVELS[triangle_free]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: certify._levels_up_to(9, (True, False, None)),
+    lambda: certify._levels_up_to(8, (False, False, None)),
+    lambda: certify._levels_up_to(11, (True, True, None), non_bipartite=True),
+    lambda: vertex_levels(7, True),
+    lambda: vertex_levels(7, False),
+], ids=["triangle-free", "all", "C3C5-free-non-bipartite", "vertex-triangle-free",
+        "vertex-all"])
+def test_orbit_pruning_changes_no_level(monkeypatch, build):
+    pruned, pruned_calls = build_levels(monkeypatch, True, build)
+    plain, plain_calls = build_levels(monkeypatch, False, build)
+    assert pruned == plain
+    assert pruned_calls < plain_calls
+

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specbound import spectra
+from specbound.certify import _moved, _orbit
 from specbound.graphs import (
     CANONICAL_MAX_N,
     GALLERY_SPECTRA,
@@ -18,6 +19,7 @@ from specbound.graphs import (
     Graph6Error,
     PatternId,
     SizeLimitError,
+    automorphism_generators,
     blow_up,
     book,
     booksize,
@@ -450,6 +452,82 @@ class TestCanonicalForm:
             canonical_form(g)
         with pytest.raises(SizeLimitError):
             canonical_graph(g)
+
+
+def brute_force_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    edges = set(g.edges)
+    return {p for p in permutations(range(g.n))
+            if all(_moved(p, e) in edges for e in g.edges)}
+
+
+def generated_group(gens, n: int) -> set[tuple[int, ...]]:
+    return _orbit(tuple(range(n)), gens,
+                  lambda p, q: tuple(p[v] for v in q))
+
+
+def orbit_partition(items, act) -> set[frozenset]:
+    return {frozenset(act(x)) for x in items}
+
+
+class TestAutomorphismGenerators:
+    """automorphism_generators(g) against all n! permutations (n <= 7)."""
+
+    def check(self, g: Graph) -> None:
+        gens = automorphism_generators(g)
+        edges = set(g.edges)
+        for p in gens:
+            assert sorted(p) == list(range(g.n))
+            assert {_moved(p, e) for e in g.edges} == edges
+        group = brute_force_automorphisms(g)
+        assert generated_group(gens, g.n) == group
+        non_edges = [e for e in combinations(range(g.n), 2) if e not in edges]
+        for items in (range(g.n), non_edges):
+            assert orbit_partition(items, lambda x: _orbit(x, gens, _moved)) \
+                == orbit_partition(items, lambda x: {_moved(p, x)
+                                                     for p in group})
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in [
+        ("K0", empty_graph(0)),
+        ("K1", empty_graph(1)),
+        ("5K1", empty_graph(5)),
+        ("P2", path(2)),
+        ("P5", path(5)),
+        ("K4", complete(4)),
+        ("K6", complete(6)),
+        ("C3", cycle(3)),
+        ("C6", cycle(6)),
+        ("C7", cycle(7)),
+        ("K1,5", complete_bipartite(1, 5)),
+        ("K2,4", complete_bipartite(2, 4)),
+        ("K3,3", complete_bipartite(3, 3)),
+        ("K3,4", complete_bipartite(3, 4)),
+        ("2C3", disjoint_union(cycle(3), cycle(3))),
+        ("2P2+3K1", disjoint_union(disjoint_union(path(2), path(2)),
+                                   empty_graph(3))),
+        ("C4+K3", disjoint_union(cycle(4), complete(3))),
+        ("K1,3+P3", disjoint_union(complete_bipartite(1, 3), path(3))),
+        ("SK2,2", sk(2, 2)),
+        ("B3", book(3)),
+        ("H2", pattern(PatternId.H2)),
+    ]])
+    def test_named_graphs(self, g):
+        self.check(g.relabel(random.Random(g.m).sample(range(g.n), g.n)))
+
+    def test_seeded_graphs(self):
+        for g in seeded_graphs(9, 40, 7):
+            self.check(g)
+
+    @given(unions_st(max_n=7))
+    def test_unions_with_isolated_vertices(self, g):
+        self.check(g)
+
+    def test_read_from_the_labelling_cache(self):
+        g = pattern(PatternId.T2)
+        canonical_form(g)
+        before = canonical_graph.cache_info()
+        automorphism_generators(g)
+        after = canonical_graph.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestGraph6:
