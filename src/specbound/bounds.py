@@ -435,7 +435,7 @@ def lemma42_check(a: int, b: int) -> PendantReport:
         rows.append(PendantCase(
             case=case,
             site=PENDANT_SITES[case],
-            graph6=G.to_graph6(G.canonical_graph(g)),
+            graph6=G.canonical_form(g).decode(),
             spectral_radius=lam,
             margin=bound - lam,
         ))

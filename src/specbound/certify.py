@@ -16,7 +16,8 @@ the orbit step of the construction with the automorphisms the labelling
 search meets: a parent is augmented once per orbit of its automorphism
 group, and a tied piece in the new piece's orbit is never deleted to test
 the child (McKay & Piperno, "Practical graph isomorphism II", J. Symb.
-Comput. 2014, for automorphisms read off the search).  The tests
+Comput. 2014, for automorphisms read off the search).  All their levels
+live in one store, `_LEVELS`, built by one loop, `_levels_up_to`.  The tests
 compare both with a reference generator that deduplicates every augmentation
 by canonical form, and the non-bipartite levels with the full levels
 filtered by bipartiteness.
@@ -32,7 +33,7 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import bounds
@@ -43,7 +44,6 @@ from .graphs import (
     GraphError,
     automorphism_generators,
     canonical_form,
-    canonical_graph,
     complete_bipartite,
     connected_components,
     cycle,
@@ -59,7 +59,6 @@ from .graphs import (
     blow_up,
     sk,
     s_odd,
-    to_graph6,
     _edge_on_c5,
     _two_colourable,
 )
@@ -249,15 +248,6 @@ def _edge_rank(x: int, y: int) -> int:
 
 _PruneKey = tuple[bool, bool, int | None]
 
-# prune key -> levels; levels[k] maps canonical form -> graph with k edges,
-# in canonical-form order.  Level k is the union of the children that each
-# class of level k-1 accepts as their canonical parent.
-_LEVELS: dict[_PruneKey, list[dict[bytes, Graph]]] = {}
-
-# prune key -> the non-bipartite classes of those levels, grown from odd
-# cycles (see _levels_up_to)
-_NON_BIPARTITE_LEVELS: dict[_PruneKey, list[dict[bytes, Graph]]] = {}
-
 
 def _prune_key(f: ClassFilter) -> _PruneKey:
     """One key per pruned class, so equal classes share their levels.  Odd
@@ -350,99 +340,9 @@ def _keeps_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
     return not _two_colourable(masks)
 
 
-def _edge_children(args: tuple[_PruneKey, bool, list[tuple[bytes, Graph]]]
-                   ) -> list[tuple[bytes, Graph]]:
-    key, non_bipartite, parents = args
-    allowed = _keeps_odd_cycle if non_bipartite else _every_piece
-    return _children(parents, lambda g: _edge_growth(g, key, allowed),
-                     _drop_edge, allowed)
-
-
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _levels_up_to(m: int, key: _PruneKey, jobs: int = 1,
-                  non_bipartite: bool = False) -> list[dict[bytes, Graph]]:
-    """Levels 0..m of the pruned class, or of its non-bipartite classes.
-
-    Those grow from odd cycles.  Every non-bipartite class other than an
-    odd cycle has an edge whose deletion leaves it non-bipartite (any edge
-    off one odd cycle), so its pieces are those edges and its canonical
-    parent is non-bipartite; the odd cycle C_k the key allows is a root
-    that joins level k.
-    """
-    if non_bipartite:
-        levels = _NON_BIPARTITE_LEVELS.setdefault(key, [{}, {}, {}])
-    else:
-        levels = _LEVELS.setdefault(key, [
-            {},
-            {canonical_form(path(2)): path(2)},
-        ])
-    with ExitStack() as stack:
-        pool = None  # started at the first level large enough to share
-        while len(levels) <= m:
-            k = len(levels)
-            parents = list(levels[-1].items())
-            if jobs > 1 and len(parents) >= 4 * jobs:
-                if pool is None:
-                    pool = stack.enter_context(
-                        ProcessPoolExecutor(max_workers=jobs))
-                size = max(1, len(parents) // (4 * jobs))
-                blocks = list(pool.map(_edge_children,
-                                       [(key, non_bipartite, c)
-                                        for c in _chunks(parents, size)]))
-            else:
-                blocks = [_edge_children((key, non_bipartite, parents))]
-            # the root C_k, when the key allows closing the path P_k into it
-            if (non_bipartite and k % 2
-                    and _edge_allowed(path(k), 0, k - 1, key)):
-                blocks.append([(canonical_form(cycle(k)), cycle(k))])
-            levels.append(_union(chain.from_iterable(blocks)))
-    return levels
-
-
-def edge_budget(filt: ClassFilter) -> int:
-    """Largest m that `enumerate_graphs` accepts for this filter.
-
-    Non-bipartite classes grow from odd cycles, and the longer the shortest
-    odd cycle their pruning allows, the smaller their levels, so triangle-
-    free, {C3,C5}-free and odd girth >= 9 classes go further than
-    EDGE_BUDGET.  Every other filter builds full levels and keeps it."""
-    if not filt.non_bipartite:
-        return EDGE_BUDGET
-    triangle_free, c5_free, odd_girth_min = _prune_key(filt)
-    if odd_girth_min:
-        return 15
-    if triangle_free:
-        return 14 if c5_free else 13
-    return EDGE_BUDGET
-
-
-def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
-                     jobs: int = 1) -> Iterator[Graph]:
-    """All isomorphism classes with m edges and no isolated vertices that
-    satisfy the filter, in canonical-form order."""
-    if m < 1:
-        raise GraphError("enumeration needs m >= 1")
-    if jobs < 1:
-        raise GraphError(f"jobs must be >= 1, got {jobs}")
-    budget = edge_budget(filt)
-    if m > budget:
-        raise BudgetError(f"edge budget is m <= {budget} for {filt.describe()}")
-    levels = _levels_up_to(m, _prune_key(filt), jobs, filt.non_bipartite)
-    for g in levels[m].values():
-        if filt.admits(g):
-            yield g
-
-
 # ---------------------------------------------------------------------------
 # vertex-indexed enumeration (Mantel / Erdos)
 # ---------------------------------------------------------------------------
-
-# triangle_free -> levels; levels[k] maps canonical form -> graph on k
-# vertices, grown like _LEVELS with the last vertex as the piece
-_VERTEX_LEVELS: dict[bool, list[dict[bytes, Graph]]] = {}
 
 
 def _vertex_growth(g: Graph, triangle_free: bool
@@ -487,6 +387,112 @@ def _drop_vertex(h: Graph, v: int) -> Graph:
     return h.induced(w for w in range(h.n) if w != v)
 
 
+# ---------------------------------------------------------------------------
+# levels: one store and one growth loop for both enumerations
+# ---------------------------------------------------------------------------
+
+# growth -> levels.  A growth is ("edge", prune key) for the full pruned
+# class, ("odd", prune key) for its non-bipartite classes, grown from odd
+# cycles, or ("vertex", triangle_free) for the vertex-indexed levels.
+# levels[k] maps canonical form -> graph with k edges (k vertices for
+# "vertex"), in canonical-form order: the union of the children that the
+# classes of level k-1 accept as their canonical parent, and of the roots
+# of level k.
+_Growth = tuple[str, object]
+_LEVELS: dict[_Growth, list[dict[bytes, Graph]]] = {}
+
+
+def _grow(growth: _Growth, parents: list[tuple[bytes, Graph]]
+          ) -> list[tuple[bytes, Graph]]:
+    """The children of a block of parents that accept them."""
+    kind, arg = growth
+    if kind == "vertex":
+        return _children(parents, lambda g: _vertex_growth(g, arg),
+                         _drop_vertex, _every_piece)
+    allowed = _keeps_odd_cycle if kind == "odd" else _every_piece
+    return _children(parents, lambda g: _edge_growth(g, arg, allowed),
+                     _drop_edge, allowed)
+
+
+def _roots(growth: _Growth, k: int) -> list[tuple[bytes, Graph]]:
+    """The classes of level k that have no canonical parent: K2 (edge) or
+    K1 (vertex) at k = 1, and the odd cycle C_k ("odd") when the key allows
+    closing the path P_k into it.
+
+    Every non-bipartite class other than an odd cycle has an edge whose
+    deletion leaves it non-bipartite (any edge off one odd cycle), so those
+    edges are its pieces and its canonical parent is non-bipartite."""
+    kind, arg = growth
+    if kind == "odd":
+        closes = k >= 3 and k % 2 and _edge_allowed(path(k), 0, k - 1, arg)
+        roots = [cycle(k)] if closes else []
+    else:
+        roots = [path(2) if kind == "edge" else Graph(1, ())] if k == 1 else []
+    return [(canonical_form(g), g) for g in roots]
+
+
+def _chunks(items: list, size: int) -> list[list]:
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _levels_up_to(m: int, growth: _Growth, jobs: int = 1
+                  ) -> list[dict[bytes, Graph]]:
+    """Levels 0..m of the growth, built on the ones already stored."""
+    levels = _LEVELS.setdefault(growth, [{}])
+    with ExitStack() as stack:
+        pool = None  # started at the first level large enough to share
+        while len(levels) <= m:
+            k = len(levels)
+            parents = list(levels[-1].items())
+            if jobs > 1 and len(parents) >= 4 * jobs:
+                if pool is None:
+                    pool = stack.enter_context(
+                        ProcessPoolExecutor(max_workers=jobs))
+                size = max(1, len(parents) // (4 * jobs))
+                blocks = list(pool.map(_grow, repeat(growth),
+                                       _chunks(parents, size)))
+            else:
+                blocks = [_grow(growth, parents)]
+            blocks.append(_roots(growth, k))
+            levels.append(_union(chain.from_iterable(blocks)))
+    return levels
+
+
+def edge_budget(filt: ClassFilter) -> int:
+    """Largest m that `enumerate_graphs` accepts for this filter.
+
+    Non-bipartite classes grow from odd cycles, and the longer the shortest
+    odd cycle their pruning allows, the smaller their levels, so triangle-
+    free, {C3,C5}-free and odd girth >= 9 classes go further than
+    EDGE_BUDGET.  Every other filter builds full levels and keeps it."""
+    if not filt.non_bipartite:
+        return EDGE_BUDGET
+    triangle_free, c5_free, odd_girth_min = _prune_key(filt)
+    if odd_girth_min:
+        return 15
+    if triangle_free:
+        return 14 if c5_free else 13
+    return EDGE_BUDGET
+
+
+def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
+                     jobs: int = 1) -> Iterator[Graph]:
+    """All isomorphism classes with m edges and no isolated vertices that
+    satisfy the filter, in canonical-form order."""
+    if m < 1:
+        raise GraphError("enumeration needs m >= 1")
+    if jobs < 1:
+        raise GraphError(f"jobs must be >= 1, got {jobs}")
+    budget = edge_budget(filt)
+    if m > budget:
+        raise BudgetError(
+            f"edge budget is m <= {budget} for {filt.describe()}")
+    growth = ("odd" if filt.non_bipartite else "edge", _prune_key(filt))
+    for g in _levels_up_to(m, growth, jobs)[m].values():
+        if filt.admits(g):
+            yield g
+
+
 def graphs_on_vertices(n: int, triangle_free: bool = True) -> list[Graph]:
     """All isomorphism classes on exactly n labeled-off vertices (isolated
     vertices allowed), grown one vertex at a time."""
@@ -494,15 +500,7 @@ def graphs_on_vertices(n: int, triangle_free: bool = True) -> list[Graph]:
         raise GraphError("needs n >= 1")
     if n > VERTEX_BUDGET:
         raise BudgetError(f"vertex budget is n <= {VERTEX_BUDGET}")
-    levels = _VERTEX_LEVELS.setdefault(
-        triangle_free, [{}, {canonical_form(Graph(1, ())): Graph(1, ())}]
-    )
-    while len(levels) <= n:
-        levels.append(_union(_children(
-            levels[-1].items(),
-            lambda g: _vertex_growth(g, triangle_free),
-            _drop_vertex, _every_piece)))
-    return list(levels[n].values())
+    return list(_levels_up_to(n, ("vertex", triangle_free))[n].values())
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +568,6 @@ def report_to_json(report: CertificationReport | BooksizeReport,
 # ---------------------------------------------------------------------------
 
 
-def _canon_g6(g: Graph) -> str:
-    return to_graph6(canonical_graph(g))
-
-
 def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
                     expected_equality: set[str],
                     quantity: Callable[[Graph], float], jobs: int,
@@ -584,17 +578,18 @@ def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
     if graphs:
         max_val = max(vals)
         maximizers = sorted(
-            _canon_g6(g) for g, v in zip(graphs, vals)
+            canonical_form(g).decode() for g, v in zip(graphs, vals)
             if v >= max_val - MAXIMIZER_TOL
         )
     else:
         max_val = 0.0
         maximizers = []
     violators = sorted(
-        _canon_g6(g) for g, v in zip(graphs, vals) if v > bound + EQUALITY_TOL
+        canonical_form(g).decode() for g, v in zip(graphs, vals)
+        if v > bound + EQUALITY_TOL
     )
     claimants = {
-        _canon_g6(g) for g, v in zip(graphs, vals)
+        canonical_form(g).decode() for g, v in zip(graphs, vals)
         if abs(v - bound) <= EQUALITY_TOL
     }
     if violators:
@@ -630,7 +625,7 @@ def _nosal_equality(m: int) -> set[str]:
     out = set()
     for s in range(1, int(math.isqrt(m)) + 1):
         if m % s == 0:
-            out.add(_canon_g6(complete_bipartite(s, m // s)))
+            out.add(canonical_form(complete_bipartite(s, m // s)).decode())
     return out
 
 
@@ -659,7 +654,7 @@ def _blowup_equality(m: int) -> set[str]:
             if i == k:
                 count = sum(sizes[u] * sizes[v] for u, v in base.edges)
                 if count == m:
-                    out.add(_canon_g6(blow_up(base, sizes)))
+                    out.add(canonical_form(blow_up(base, sizes)).decode())
                 return
             for s in range(1, m + 1):
                 sizes[i] = s
@@ -695,7 +690,7 @@ def certify_thm15(m: int, jobs: int = 1) -> CertificationReport:
     """Triangle-free non-bipartite: lambda <= sqrt(m-1), equality only at
     (m, G) = (5, C_5)."""
     filt = ClassFilter(triangle_free=True, non_bipartite=True)
-    expected = {_canon_g6(sk(2, 2))} if m == 5 else set()
+    expected = {canonical_form(sk(2, 2)).decode()} if m == 5 else set()
     return _lambda_certify("thm15", m, filt, math.sqrt(m - 1), expected,
                            spectra.spectral_radius, jobs)
 
@@ -706,7 +701,8 @@ def certify_zhai_shu(m: int, jobs: int = 1) -> CertificationReport:
     if m < 5:
         raise GraphError("needs m >= 5")
     filt = ClassFilter(triangle_free=True, non_bipartite=True)
-    expected = {_canon_g6(sk(2, (m - 1) // 2))} if m % 2 == 1 else set()
+    expected = ({canonical_form(sk(2, (m - 1) // 2)).decode()}
+                if m % 2 == 1 else set())
     return _lambda_certify("zhai-shu", m, filt, bounds.beta(m), expected,
                            spectra.spectral_radius, jobs)
 
@@ -717,7 +713,8 @@ def certify_main(m: int, jobs: int = 1) -> CertificationReport:
     if m < 7:
         raise GraphError("needs m >= 7")
     filt = ClassFilter(triangle_free=True, c5_free=True, non_bipartite=True)
-    expected = {_canon_g6(s_odd(2, (m - 3) // 2, 2))} if m % 2 == 1 else set()
+    expected = ({canonical_form(s_odd(2, (m - 3) // 2, 2)).decode()}
+                if m % 2 == 1 else set())
     return _lambda_certify("main", m, filt, bounds.gamma(m), expected,
                            spectra.spectral_radius, jobs)
 
@@ -733,8 +730,8 @@ def certify_conj51(m: int, k: int, jobs: int = 1) -> CertificationReport:
     bound = spectra.spectral_radius(extremal)
     filt = ClassFilter(non_bipartite=True, odd_girth_min=2 * k + 3)
     return _lambda_certify(f"conj51[k={k}]", m, filt, bound,
-                           {_canon_g6(extremal)}, spectra.spectral_radius, jobs,
-                           conjecture=True)
+                           {canonical_form(extremal).decode()},
+                           spectra.spectral_radius, jobs, conjecture=True)
 
 
 def certify_mantel(n: int) -> CertificationReport:
@@ -746,8 +743,9 @@ def certify_mantel(n: int) -> CertificationReport:
     gs = graphs_on_vertices(n, triangle_free=True)
     bound = n * n // 4
     max_m = max(g.m for g in gs)
-    maximizers = sorted(_canon_g6(g) for g in gs if g.m == max_m)
-    expected = [_canon_g6(complete_bipartite(n // 2, (n + 1) // 2))]
+    maximizers = sorted(canonical_form(g).decode() for g in gs if g.m == max_m)
+    expected = [
+        canonical_form(complete_bipartite(n // 2, (n + 1) // 2)).decode()]
     if max_m == bound and maximizers == expected:
         verdict, counter = "HOLDS_WITH_EQUALITY", ()
     else:
@@ -772,9 +770,9 @@ def certify_erdos(n: int) -> CertificationReport:
           if not is_bipartite(g)]
     bound = (n - 1) ** 2 // 4 + 1
     max_m = max(g.m for g in gs)
-    maximizers = sorted(_canon_g6(g) for g in gs if g.m == max_m)
+    maximizers = sorted(canonical_form(g).decode() for g in gs if g.m == max_m)
     constructions = {
-        _canon_g6(erdos_extremal(n, k)) for k in range(1, n // 2)
+        canonical_form(erdos_extremal(n, k)).decode() for k in range(1, n // 2)
     }
     attained = max_m == bound and constructions & set(maximizers)
     verdict = "HOLDS_WITH_EQUALITY" if attained else "VIOLATED"
@@ -859,7 +857,8 @@ def explore_booksize(m: int, jobs: int = 1) -> BooksizeReport:
     rows = []
     for g, lam in zip(graphs, vals):
         if lam >= cut and not is_complete_bipartite(g):
-            rows.append(BooksizeRow(_canon_g6(g), lam, booksize(g)))
+            rows.append(BooksizeRow(canonical_form(g).decode(), lam,
+                                    booksize(g)))
     rows.sort(key=lambda r: (r.booksize, r.graph6))
     floor = m ** 0.25 / 12.0
     min_bk = min((r.booksize for r in rows), default=0)

@@ -257,7 +257,7 @@ def cmd_enumerate(args) -> int:
         odd_girth_min=args.odd_girth_min,
     )
     for g in certify.enumerate_graphs(args.m, filt, args.jobs):
-        print(G.to_graph6(G.canonical_graph(g)))
+        print(G.canonical_form(g).decode())
     return 0
 
 

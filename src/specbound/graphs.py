@@ -452,16 +452,22 @@ def contains_c5(g: Graph) -> bool:
 
 
 def _edge_on_c5(g: Graph, u: int, v: int) -> bool:
-    # path u-a-b-c-v of distinct vertices avoiding the edge itself
-    for a in range(g.n):
-        if a == v or not g.has_edge(u, a):
-            continue
-        for c in range(g.n):
-            if c == u or c == a or not g.has_edge(v, c):
-                continue
-            mid = g.mask(a) & g.mask(c) & ~(1 << u) & ~(1 << v)
-            mid &= ~(1 << a) & ~(1 << c)
-            if mid:
+    """Whether a path u-a-b-c-v of five distinct vertices exists, so that
+    the edge uv lies on (or would close) a 5-cycle."""
+    masks = g._masks
+    ends = 1 << u | 1 << v
+    aa = masks[u] & ~(1 << v)
+    while aa:
+        a = (aa & -aa).bit_length() - 1
+        aa &= aa - 1
+        # b is a common neighbour of a and c other than u and v; neither a
+        # nor c is its own neighbour
+        na = masks[a] & ~ends
+        cc = masks[v] & ~(1 << u | 1 << a)
+        while cc:
+            c = (cc & -cc).bit_length() - 1
+            cc &= cc - 1
+            if na & masks[c]:
                 return True
     return False
 
@@ -824,19 +830,10 @@ def to_graph6(g: Graph) -> str:
     packed six per byte, each byte offset by 63."""
     if g.n > GRAPH6_MAX_N:
         raise SizeLimitError(f"graph6 writer limited to n <= {GRAPH6_MAX_N}")
-    out = [chr(63 + g.n)]
-    bits = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            bits = bits << 1 | (1 if g.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + bits))
-                bits = nbits = 0
-    if nbits:
-        out.append(chr(63 + (bits << (6 - nbits))))
-    return "".join(out)
+    cols = [0] * g.n
+    for i, j in g.edges:
+        cols[j] |= 1 << (j - 1 - i)
+    return _graph6_bytes(g.n, cols).decode()
 
 
 def from_graph6(s: str) -> Graph:

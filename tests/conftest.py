@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from specbound import certify
 from specbound.graphs import Graph
 
 settings.register_profile(
@@ -45,3 +46,30 @@ def graphs_st(draw, min_n: int = 1, max_n: int = 9):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def fresh_levels(monkeypatch):
+    """An empty `certify._LEVELS`, so that the test builds every level it
+    reads; calling the fixture's value empties it again.  The store the
+    module had is restored after the test."""
+    def reset():
+        monkeypatch.setattr(certify, "_LEVELS", {})
+
+    reset()
+    return reset
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The keyword arguments of every enumeration pool started during the
+    test; the pools themselves are real."""
+    real = certify.ProcessPoolExecutor
+    starts = []
+
+    def counting_pool(*args, **kwargs):
+        starts.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
+    return starts

@@ -156,53 +156,70 @@ class TestEnumeration:
                     enumerate_graphs(6, ClassFilter(c5_free=True), jobs=2)]
         assert serial == parallel
 
-    def test_pool_levels_match_serial(self, monkeypatch):
-        key = (True, False, None)
-        real = certify.ProcessPoolExecutor
-        starts = []
-
-        def counting_pool(*args, **kwargs):
-            starts.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
-        monkeypatch.setattr(certify, "_LEVELS", {})
-        pooled = certify._levels_up_to(7, key, jobs=2)
-        monkeypatch.setattr(certify, "_LEVELS", {})
-        serial = certify._levels_up_to(7, key)
-        assert starts
+    def test_pool_levels_match_serial(self, fresh_levels, pool_starts):
+        growth = ("edge", (True, False, None))
+        pooled = certify._levels_up_to(7, growth, jobs=2)
+        fresh_levels()
+        serial = certify._levels_up_to(7, growth)
+        assert pool_starts
         assert pooled == serial
 
     @pytest.mark.parametrize("non_bipartite", [False, True])
-    def test_one_pool_per_build(self, monkeypatch, non_bipartite):
-        key = (True, False, None)
-        real = certify.ProcessPoolExecutor
-        starts = []
-
-        def counting_pool(*args, **kwargs):
-            starts.append(kwargs)
-            return real(*args, **kwargs)
+    def test_one_pool_per_build(self, fresh_levels, pool_starts,
+                                non_bipartite):
+        growth = ("odd" if non_bipartite else "edge", (True, False, None))
 
         def fresh_build(jobs):
-            monkeypatch.setattr(certify, "_LEVELS", {})
-            monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
-            levels = certify._levels_up_to(9, key, jobs, non_bipartite)
+            fresh_levels()
+            levels = certify._levels_up_to(9, growth, jobs)
             return [list(level.items()) for level in levels]
 
-        monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
         pooled = fresh_build(2)
-        assert len(starts) == 1
+        assert len(pool_starts) == 1
         assert pooled == fresh_build(1)
 
+    def test_one_reset_rebuilds_every_growth(self, monkeypatch,
+                                             fresh_levels):
+        odd = [ClassFilter(triangle_free=True, non_bipartite=True),
+               ClassFilter(triangle_free=True, c5_free=True,
+                           non_bipartite=True),
+               ClassFilter(odd_girth_min=9, non_bipartite=True)]
+
+        def build():
+            list(enumerate_graphs(9, ClassFilter(triangle_free=True)))
+            for filt in odd:
+                list(enumerate_graphs(9, filt))
+            graphs_on_vertices(5)
+            return {growth: [list(level) for level in levels]
+                    for growth, levels in certify._LEVELS.items()}
+
+        built = build()
+        assert {kind for kind, _ in built} == {"edge", "odd", "vertex"}
+        fresh_levels()
+        grown = set()
+        real = certify._grow
+
+        def counting_grow(growth, parents):
+            grown.add(growth)
+            return real(growth, parents)
+
+        monkeypatch.setattr(certify, "_grow", counting_grow)
+        assert build() == built
+        assert grown == set(built)
+        assert built["edge", (True, False, None)][1] == [
+            canonical_form(path(2))]
+        assert built["vertex", True][1] == [canonical_form(Graph(1, ()))]
+        # the first odd cycle each key allows is the first root
+        for filt, k in zip(odd, (5, 7, 9)):
+            levels = built["odd", certify._prune_key(filt)]
+            assert [len(level) for level in levels[:k]] == [0] * k
+            assert levels[k] == [canonical_form(cycle(k))]
+
     @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one_rejected(self, monkeypatch, jobs):
-        starts = []
-        monkeypatch.setattr(certify, "ProcessPoolExecutor",
-                            lambda *args, **kwargs: starts.append(kwargs))
-        monkeypatch.setattr(certify, "_LEVELS", {})
+    def test_jobs_below_one_rejected(self, fresh_levels, pool_starts, jobs):
         with pytest.raises(GraphError, match="jobs"):
             list(enumerate_graphs(9, ClassFilter(triangle_free=True), jobs))
-        assert not starts
+        assert not pool_starts
         assert not certify._LEVELS
 
     def test_class_from_two_parents_is_an_error(self):
@@ -210,7 +227,7 @@ class TestEnumeration:
         with pytest.raises(RuntimeError, match="two parents"):
             certify._union([(canonical_form(g), g), (canonical_form(g), g)])
 
-    def test_canonical_form_calls_per_class(self, monkeypatch):
+    def test_canonical_form_calls_per_class(self, monkeypatch, fresh_levels):
         # the acceptance rule labels each class about 2.5 times (the class
         # itself plus tied deletions); labelling every augmentation would
         # cost about 12.5
@@ -222,31 +239,23 @@ class TestEnumeration:
             return real(g)
 
         monkeypatch.setattr(certify, "canonical_form", counting_form)
-        monkeypatch.setattr(certify, "_LEVELS", {})
         list(enumerate_graphs(9, ClassFilter(triangle_free=True)))
-        classes = sum(map(len, certify._LEVELS[(True, False, None)]))
+        classes = sum(map(len, certify._LEVELS["edge", (True, False, None)]))
         assert len(calls) <= 4 * classes
 
-    def test_non_bipartite_pool_levels_match_serial(self, monkeypatch):
+    def test_non_bipartite_pool_levels_match_serial(self, fresh_levels,
+                                                    pool_starts):
         filt = ClassFilter(triangle_free=True, non_bipartite=True)
-        real = certify.ProcessPoolExecutor
-        starts = []
-
-        def counting_pool(*args, **kwargs):
-            starts.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
-        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
         pooled = [canon6(g) for g in enumerate_graphs(9, filt, jobs=2)]
-        pooled_levels = certify._NON_BIPARTITE_LEVELS
-        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
+        pooled_levels = certify._LEVELS
+        fresh_levels()
         serial = [canon6(g) for g in enumerate_graphs(9, filt)]
-        assert starts
+        assert pool_starts
         assert pooled == serial
-        assert pooled_levels == certify._NON_BIPARTITE_LEVELS
+        assert pooled_levels == certify._LEVELS
 
-    def test_non_bipartite_canonical_form_calls_per_class(self, monkeypatch):
+    def test_non_bipartite_canonical_form_calls_per_class(self, monkeypatch,
+                                                          fresh_levels):
         # odd-cycle roots and the allowed-piece test keep the rule's cost
         # per class at about 2.1 labellings, within the full levels' bound
         real = certify.canonical_form
@@ -257,10 +266,9 @@ class TestEnumeration:
             return real(g)
 
         monkeypatch.setattr(certify, "canonical_form", counting_form)
-        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
         list(enumerate_graphs(10, ClassFilter(triangle_free=True,
                                               non_bipartite=True)))
-        levels = certify._NON_BIPARTITE_LEVELS[(True, False, None)]
+        levels = certify._LEVELS["odd", (True, False, None)]
         classes = sum(map(len, levels))
         assert classes == 1 + 2 + 9 + 28 + 107 + 379
         assert len(calls) <= 4 * classes
@@ -525,20 +533,16 @@ class TestConjecture51:
 
     @pytest.mark.parametrize("k, certifier", [(1, certify_zhai_shu),
                                               (2, certify_main)])
-    def test_reuses_the_equivalent_theorems_levels(self, monkeypatch, k,
+    def test_reuses_the_equivalent_theorems_levels(self, fresh_levels, k,
                                                    certifier):
         # the non-bipartite certifiers build only the non-bipartite levels
-        monkeypatch.setattr(certify, "_LEVELS", {})
-        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
         certifier(9)
-        built = {key: len(levels)
-                 for key, levels in certify._NON_BIPARTITE_LEVELS.items()}
-        assert built and not certify._LEVELS
+        built = {growth: len(levels)
+                 for growth, levels in certify._LEVELS.items()}
+        assert built and {kind for kind, _ in built} == {"odd"}
         certify_conj51(9, k)
-        assert {key: len(levels)
-                for key, levels in certify._NON_BIPARTITE_LEVELS.items()
-                } == built
-        assert not certify._LEVELS
+        assert {growth: len(levels)
+                for growth, levels in certify._LEVELS.items()} == built
 
     def test_k3_m9_is_c9(self):
         r = certify_conj51(9, 3)

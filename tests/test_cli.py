@@ -227,20 +227,12 @@ class TestSweep:
         assert code == 2
         assert out.splitlines()[-1].endswith(" 3 violation(s)")
 
-    def test_jobs_only_change_wall_time(self, capsys, monkeypatch, tmp_path):
+    def test_jobs_only_change_wall_time(self, capsys, tmp_path, fresh_levels,
+                                        pool_starts):
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
         run(capsys, "sweep", "--json-dir", str(serial))
-        real = certify.ProcessPoolExecutor
-        starts = []
-
-        def counting_pool(*args, **kwargs):
-            starts.append(kwargs)
-            return real(*args, **kwargs)
-
-        # empty level caches, so that --jobs 2 enumerates through the pool
-        monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
-        monkeypatch.setattr(certify, "_LEVELS", {})
-        monkeypatch.setattr(certify, "_NON_BIPARTITE_LEVELS", {})
+        # an empty level store, so that --jobs 2 enumerates through the pool
+        fresh_levels()
         run(capsys, "sweep", "--jobs", "2", "--json-dir", str(pooled))
-        assert starts
+        assert pool_starts
         assert self.reports(pooled) == self.reports(serial)

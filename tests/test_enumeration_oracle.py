@@ -86,7 +86,7 @@ def reference_vertex_levels(n: int, triangle_free: bool) -> list[set[bytes]]:
 ], ids=lambda f: f.describe())
 def test_edge_levels_match_reference(filt):
     key = _prune_key(filt)
-    levels = certify._levels_up_to(MAX_M, key)
+    levels = certify._levels_up_to(MAX_M, ("edge", key))
     for m, want in enumerate(reference_edge_levels(MAX_M, key)):
         assert list(levels[m]) == sorted(want)
         assert all(canonical_form(g) == c for c, g in levels[m].items())
@@ -109,8 +109,8 @@ def test_vertex_levels_match_reference(triangle_free):
 ], ids=lambda v: v.describe() if isinstance(v, ClassFilter) else str(v))
 def test_non_bipartite_levels_match_filtered_levels(filt, max_m):
     key = _prune_key(filt)
-    full = certify._levels_up_to(max_m, key)
-    grown = certify._levels_up_to(max_m, key, non_bipartite=True)
+    full = certify._levels_up_to(max_m, ("edge", key))
+    grown = certify._levels_up_to(max_m, ("odd", key))
     for m in range(max_m + 1):
         want = [c for c, g in full[m].items() if not is_bipartite(g)]
         assert list(grown[m]) == want, m
@@ -158,19 +158,17 @@ def test_canonical_forms_pinned():
         == CORPUS_DIGEST
 
 
-def test_edge_levels_pinned(monkeypatch):
-    monkeypatch.setattr(certify, "_LEVELS", {})
-    levels = certify._levels_up_to(9, (True, False, None))
+def test_edge_levels_pinned(fresh_levels):
+    levels = certify._levels_up_to(9, ("edge", (True, False, None)))
     assert list(map(len, levels)) == [0, 1, 2, 4, 9, 19, 45, 105, 267, 702]
     assert digest(repr([[(c, g.n, g.edges) for c, g in level.items()]
                         for level in levels]).encode()) \
         == TRIANGLE_FREE_LEVELS_DIGEST
 
 
-def test_vertex_level_pinned(monkeypatch):
-    monkeypatch.setattr(certify, "_VERTEX_LEVELS", {})
+def test_vertex_level_pinned(fresh_levels):
     graphs = certify.graphs_on_vertices(7)
-    level = certify._VERTEX_LEVELS[True][7]
+    level = certify._LEVELS["vertex", True][7]
     assert list(level.values()) == graphs and len(graphs) == 107
     assert digest(repr([(c, g.n, g.edges) for c, g in level.items()])
                   .encode()) == VERTEX_LEVEL_7_DIGEST
@@ -263,11 +261,11 @@ def test_vertex_step_one_matches_full_rank_rule(triangle_free, g):
 # nothing but the work done: without automorphisms the same levels come out.
 
 
-def build_levels(monkeypatch, orbits: bool, build) -> tuple[list, int]:
+def build_levels(monkeypatch, fresh_levels, orbits: bool, build
+                 ) -> tuple[list, int]:
     """(levels as (form, n, edges) lists, canonical_form calls) of a fresh
     build, with or without the automorphisms of the labelling search."""
-    for cache in ("_LEVELS", "_NON_BIPARTITE_LEVELS", "_VERTEX_LEVELS"):
-        monkeypatch.setattr(certify, cache, {})
+    fresh_levels()
     if not orbits:
         monkeypatch.setattr(certify, "automorphism_generators", lambda g: ())
     calls = []
@@ -285,20 +283,20 @@ def build_levels(monkeypatch, orbits: bool, build) -> tuple[list, int]:
 
 def vertex_levels(n: int, triangle_free: bool) -> list:
     certify.graphs_on_vertices(n, triangle_free)
-    return certify._VERTEX_LEVELS[triangle_free]
+    return certify._LEVELS["vertex", triangle_free]
 
 
 @pytest.mark.parametrize("build", [
-    lambda: certify._levels_up_to(9, (True, False, None)),
-    lambda: certify._levels_up_to(8, (False, False, None)),
-    lambda: certify._levels_up_to(11, (True, True, None), non_bipartite=True),
+    lambda: certify._levels_up_to(9, ("edge", (True, False, None))),
+    lambda: certify._levels_up_to(8, ("edge", (False, False, None))),
+    lambda: certify._levels_up_to(11, ("odd", (True, True, None))),
     lambda: vertex_levels(7, True),
     lambda: vertex_levels(7, False),
 ], ids=["triangle-free", "all", "C3C5-free-non-bipartite", "vertex-triangle-free",
         "vertex-all"])
-def test_orbit_pruning_changes_no_level(monkeypatch, build):
-    pruned, pruned_calls = build_levels(monkeypatch, True, build)
-    plain, plain_calls = build_levels(monkeypatch, False, build)
+def test_orbit_pruning_changes_no_level(monkeypatch, fresh_levels, build):
+    pruned, pruned_calls = build_levels(monkeypatch, fresh_levels, True, build)
+    plain, plain_calls = build_levels(monkeypatch, fresh_levels, False, build)
     assert pruned == plain
     assert pruned_calls < plain_calls
 

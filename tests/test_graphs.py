@@ -47,6 +47,7 @@ from specbound.graphs import (
     subdivide_edge,
     to_graph6,
     triangle_count,
+    _edge_on_c5,
 )
 
 from conftest import graphs_st, random_graph, seeded_graphs
@@ -300,6 +301,26 @@ class TestPredicates:
                 g = disjoint_union(g, part)
             assert is_bipartite(g) == (odd_girth(g) == math.inf)
 
+    def test_edge_on_c5_matches_path_search(self):
+        # a path u-a-b-c-v of distinct vertices, grown one vertex at a time
+        def on_c5(g, u, v):
+            def extend(walk):
+                if len(walk) == 4:
+                    return g.has_edge(walk[-1], v)
+                return any(extend(walk + [w]) for w in g.neighbors(walk[-1])
+                           if w not in walk and w != v)
+            return extend([u])
+
+        seen = set()
+        for g in seeded_graphs(55, 300, 9):
+            for u in range(g.n):
+                for v in range(g.n):
+                    if u != v:
+                        want = on_c5(g, u, v)
+                        assert _edge_on_c5(g, u, v) == want, (g, u, v)
+                        seen.add((want, g.has_edge(u, v)))
+        assert len(seen) == 4
+
     @given(graphs_st(max_n=8))
     def test_triangle_count_agrees_with_networkx(self, g):
         nxg = nx.empty_graph(g.n)
@@ -534,6 +555,21 @@ class TestGraph6:
     def test_k1(self):
         assert to_graph6(Graph(1, ())) == "@"
         assert from_graph6("@").n == 1
+
+    def test_no_vertices(self):
+        assert to_graph6(Graph(0, ())) == "?"
+        assert from_graph6("?") == Graph(0, ())
+
+    def test_largest_writable_matches_networkx(self):
+        g = random_graph(random.Random(62), 62, 0.5)
+        nxg = nx.empty_graph(g.n)
+        nxg.add_edges_from(g.edges)
+        theirs = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+        assert to_graph6(g) == theirs
+
+    def test_writer_size_limit(self):
+        with pytest.raises(SizeLimitError):
+            to_graph6(empty_graph(63))
 
     def test_header_prefix_accepted(self):
         assert from_graph6(">>graph6<<DqK").m == 5
