@@ -10,17 +10,24 @@ isolated vertices ever appear); hereditary class constraints (triangle-free,
 C5-free, bounded odd girth) prune during growth.  A non-bipartite class is
 grown on its own, from the odd cycles its pruning allows, with the edges
 whose deletion leaves an odd cycle as the pieces, so no bipartite class is
-ever built; connectivity filters at the end.  Mantel and Erdos checks use
-the vertex-indexed enumeration, which adds one vertex at a time.  Both take
-the orbit step of the construction with the automorphisms the labelling
-search meets: a parent is augmented once per orbit of its automorphism
-group, and a tied piece in the new piece's orbit is never deleted to test
-the child (McKay & Piperno, "Practical graph isomorphism II", J. Symb.
-Comput. 2014, for automorphisms read off the search).  All their levels
-live in one store, `_LEVELS`, built by one loop, `_levels_up_to`.  The tests
-compare both with a reference generator that deduplicates every augmentation
-by canonical form, and the non-bipartite levels with the full levels
-filtered by bipartiteness.
+ever built.  A connected class is grown on its own too, from K2 (or the odd
+cycles, or K1 for the vertex-indexed levels), with the pieces whose deletion
+leaves it connected.  Mantel and Erdos checks use the vertex-indexed
+enumeration, which adds one vertex at a time.  Both take the orbit step of
+the construction with the automorphisms the labelling search meets: a
+parent is augmented once per orbit of its automorphism group, and a tied
+piece in the new piece's orbit is never deleted to test the child (McKay &
+Piperno, "Practical graph isomorphism II", J. Symb. Comput. 2014, for
+automorphisms read off the search).  All their levels live in one store,
+`_LEVELS`, built by one loop, `_levels_up_to`.
+
+The extremal graphs of the non-bipartite, Mantel and Erdos certifiers are
+connected, so those certifiers build only the connected levels and count
+the whole class as multisets of connected classes, by the Euler transform
+(Harary & Palmer, "Graphical Enumeration", 1973).  The tests compare every
+growth with a reference generator that deduplicates every augmentation by
+canonical form, or with the full levels filtered by bipartiteness and
+connectivity.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -77,7 +84,7 @@ class BudgetError(GraphError):
 class ClassFilter:
     """Composable graph-class predicate.  The hereditary flags also prune
     during generation, `non_bipartite` selects the growth from odd cycles,
-    and `connected` only filters."""
+    and `connected` the growth of connected classes only."""
 
     connected: bool = False
     triangle_free: bool = False
@@ -284,12 +291,14 @@ def _edge_allowed(g: Graph, u: int, v: int, key: _PruneKey) -> bool:
 
 
 def _edge_growth(g: Graph, key: _PruneKey,
-                 allowed: Callable[[int, tuple, Edge], bool]
+                 allowed: Callable[[int, tuple, Edge], bool],
+                 connected: bool = False
                  ) -> Iterator[tuple[int, tuple, list[Edge]]]:
     """(n, edges, ties) for every h = g + e, e = (a, b), in which no allowed
     edge ranks below e; ties are the other edges that rank with e, in edge
-    order.  In h, a and b each gain a neighbour, and the neighbour-degree
-    sum of each of their old neighbours rises by one."""
+    order.  A connected growth never adds e as a new K2 component.  In h,
+    a and b each gain a neighbour, and the neighbour-degree sum of each of
+    their old neighbours rises by one."""
     n = g.n
     masks = g._masks + (0, 0)
     inv = _vertex_ranks(g) + [0, 0]
@@ -299,7 +308,7 @@ def _edge_growth(g: Graph, key: _PruneKey,
         ((u, v) for u in range(n) for v in range(u + 1, n)
          if not masks[u] >> v & 1 and _edge_allowed(g, u, v, key)),
         ((u, n) for u in range(n)),
-        ((n, n + 1),))
+        () if connected else ((n, n + 1),))
     for a, b in pairs:
         ma, mb = masks[a], masks[b]
         ia = inv[a] + _DEG_ONE + mb.bit_count() + 1
@@ -330,14 +339,60 @@ def _drop_edge(h: Graph, e: Edge) -> Graph:
     return Graph(h.n, tuple(f for f in h.edges if f != e))
 
 
-def _keeps_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
-    """Whether the graph with these edges is still non-bipartite without e."""
+def _masks_without(n: int, edges: tuple, e: Edge) -> list[int]:
     masks = [0] * n
     for u, v in edges:
         if (u, v) != e:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-    return not _two_colourable(masks)
+    return masks
+
+
+def _keeps_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
+    """Whether the graph with these edges is still non-bipartite without e."""
+    return not _two_colourable(_masks_without(n, edges, e))
+
+
+def _search(masks: list[int], s: int) -> tuple[int, bool]:
+    """(component of s as a vertex mask, whether it holds an odd cycle), by
+    one breadth-first search: an edge inside one layer closes an odd cycle,
+    and no other edge does."""
+    comp = frontier = 1 << s
+    odd = False
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            mv = masks[v]
+            if mv & frontier:
+                odd = True
+            nxt |= mv
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp, odd
+
+
+def _keeps_connected(n: int, edges: tuple, e: Edge) -> bool:
+    """Whether the connected graph with these edges (and no isolated
+    vertex) stays connected without e, once an end that e leaves isolated
+    is dropped: e is pendant or not a bridge."""
+    masks = _masks_without(n, edges, e)
+    u, v = e
+    return not masks[u] or not masks[v] or bool(_search(masks, u)[0] >> v & 1)
+
+
+def _keeps_connected_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
+    """`_keeps_connected` and `_keeps_odd_cycle` of a connected
+    non-bipartite graph, in one search.  A pendant edge lies on no cycle,
+    so it passes both."""
+    masks = _masks_without(n, edges, e)
+    u, v = e
+    if not masks[u] or not masks[v]:
+        return True
+    comp, odd = _search(masks, u)
+    return odd and comp == (1 << n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +400,15 @@ def _keeps_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_growth(g: Graph, triangle_free: bool
+def _vertex_growth(g: Graph, triangle_free: bool,
+                   allowed: Callable[[int, tuple, int], bool] = _every_piece,
+                   connected: bool = False
                    ) -> Iterator[tuple[int, tuple, list[int]]]:
     """(n, edges, ties) for every h = g + vertex k joined to a set S, in
-    which no vertex ranks below k; ties are the other vertices that rank
-    with k.  In h, each vertex of S gains the neighbour k of degree |S|,
-    and the neighbour-degree sum of every old vertex rises by its number of
-    neighbours in S."""
+    which no allowed vertex ranks below k; ties are the other vertices that
+    rank with k.  A connected growth never takes S empty.  In h, each vertex
+    of S gains the neighbour k of degree |S|, and the neighbour-degree sum
+    of every old vertex rises by its number of neighbours in S."""
     k = g.n
     masks = g._masks
     inv = _vertex_ranks(g)
@@ -366,25 +423,37 @@ def _vertex_growth(g: Graph, triangle_free: bool
         new_rank[nb] = -1 if rest < 0 or triangle_free and masks[v] & nb \
             else rest + _DEG_ONE + masks[v].bit_count() + 1
     for nb, mine in enumerate(new_rank):
-        if mine < 0:
+        if mine < 0 or connected and not nb:
             continue
         size = mine >> _NDS_BITS
+        edges = g.edges + tuple((v, k) for v in range(k) if nb >> v & 1)
         ties = []
         for r, v in islice(ranked, bisect_right(ranks, mine)):
             if nb >> v & 1:
                 r += _DEG_ONE + size
             r += (masks[v] & nb).bit_count()
-            if r < mine:
+            if r < mine and allowed(k + 1, edges, v):
                 break
             if r == mine:
                 ties.append(v)
         else:
-            yield k + 1, g.edges + tuple(
-                (v, k) for v in range(k) if nb >> v & 1), sorted(ties)
+            yield k + 1, edges, sorted(ties)
 
 
 def _drop_vertex(h: Graph, v: int) -> Graph:
     return h.induced(w for w in range(h.n) if w != v)
+
+
+def _not_a_cut_vertex(n: int, edges: tuple, v: int) -> bool:
+    """Whether the connected graph with these edges stays connected
+    without v."""
+    masks = [0] * n
+    for a, b in edges:
+        if v != a and v != b:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    rest = ((1 << n) - 1) & ~(1 << v)
+    return not rest or _search(masks, rest.bit_length() - 1)[0] == rest
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +462,8 @@ def _drop_vertex(h: Graph, v: int) -> Graph:
 
 # growth -> levels.  A growth is ("edge", prune key) for the full pruned
 # class, ("odd", prune key) for its non-bipartite classes, grown from odd
-# cycles, or ("vertex", triangle_free) for the vertex-indexed levels.
+# cycles, ("vertex", triangle_free) for the vertex-indexed levels, or one of
+# these with "-conn" for its connected classes ("conn" for "edge").
 # levels[k] maps canonical form -> graph with k edges (k vertices for
 # "vertex"), in canonical-form order: the union of the children that the
 # classes of level k-1 accept as their canonical parent, and of the roots
@@ -401,33 +471,52 @@ def _drop_vertex(h: Graph, v: int) -> Graph:
 _Growth = tuple[str, object]
 _LEVELS: dict[_Growth, list[dict[bytes, Graph]]] = {}
 
+# kind -> the pieces whose deletion leaves a graph of the growth's class.
+# Every connected graph but K2 and K1 has such an edge and vertex (a leaf of
+# a spanning tree, or an edge off it), and every connected non-bipartite one
+# but an odd cycle such an edge (take a spanning tree that holds all of one
+# odd cycle but one edge).
+_PIECES: dict[str, Callable[[int, tuple, object], bool]] = {
+    "edge": _every_piece,
+    "odd": _keeps_odd_cycle,
+    "conn": _keeps_connected,
+    "odd-conn": _keeps_connected_odd_cycle,
+    "vertex": _every_piece,
+    "vertex-conn": _not_a_cut_vertex,
+}
+
 
 def _grow(growth: _Growth, parents: list[tuple[bytes, Graph]]
           ) -> list[tuple[bytes, Graph]]:
     """The children of a block of parents that accept them."""
     kind, arg = growth
-    if kind == "vertex":
-        return _children(parents, lambda g: _vertex_growth(g, arg),
-                         _drop_vertex, _every_piece)
-    allowed = _keeps_odd_cycle if kind == "odd" else _every_piece
-    return _children(parents, lambda g: _edge_growth(g, arg, allowed),
-                     _drop_edge, allowed)
+    allowed = _PIECES[kind]
+    connected = kind.endswith("conn")
+    if kind.startswith("vertex"):
+        return _children(
+            parents, lambda g: _vertex_growth(g, arg, allowed, connected),
+            _drop_vertex, allowed)
+    return _children(
+        parents, lambda g: _edge_growth(g, arg, allowed, connected),
+        _drop_edge, allowed)
 
 
 def _roots(growth: _Growth, k: int) -> list[tuple[bytes, Graph]]:
     """The classes of level k that have no canonical parent: K2 (edge) or
-    K1 (vertex) at k = 1, and the odd cycle C_k ("odd") when the key allows
-    closing the path P_k into it.
+    K1 (vertex) at k = 1, and the odd cycle C_k (non-bipartite) when the key
+    allows closing the path P_k into it.
 
     Every non-bipartite class other than an odd cycle has an edge whose
     deletion leaves it non-bipartite (any edge off one odd cycle), so those
     edges are its pieces and its canonical parent is non-bipartite."""
     kind, arg = growth
-    if kind == "odd":
+    if kind.startswith("odd"):
         closes = k >= 3 and k % 2 and _edge_allowed(path(k), 0, k - 1, arg)
         roots = [cycle(k)] if closes else []
+    elif k == 1:
+        roots = [Graph(1, ()) if kind.startswith("vertex") else path(2)]
     else:
-        roots = [path(2) if kind == "edge" else Graph(1, ())] if k == 1 else []
+        roots = []
     return [(canonical_form(g), g) for g in roots]
 
 
@@ -487,20 +576,63 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
     if m > budget:
         raise BudgetError(
             f"edge budget is m <= {budget} for {filt.describe()}")
-    growth = ("odd" if filt.non_bipartite else "edge", _prune_key(filt))
-    for g in _levels_up_to(m, growth, jobs)[m].values():
+    kind = "odd" if filt.non_bipartite else "edge"
+    if filt.connected:
+        kind = "odd-conn" if filt.non_bipartite else "conn"
+    for g in _levels_up_to(m, (kind, _prune_key(filt)), jobs)[m].values():
         if filt.admits(g):
             yield g
 
 
-def graphs_on_vertices(n: int, triangle_free: bool = True) -> list[Graph]:
+def graphs_on_vertices(n: int, triangle_free: bool = True,
+                       connected: bool = False) -> list[Graph]:
     """All isomorphism classes on exactly n labeled-off vertices (isolated
-    vertices allowed), grown one vertex at a time."""
+    vertices allowed unless connected), grown one vertex at a time."""
     if n < 1:
         raise GraphError("needs n >= 1")
     if n > VERTEX_BUDGET:
         raise BudgetError(f"vertex budget is n <= {VERTEX_BUDGET}")
-    return list(_levels_up_to(n, ("vertex", triangle_free))[n].values())
+    kind = "vertex-conn" if connected else "vertex"
+    return list(_levels_up_to(n, (kind, triangle_free))[n].values())
+
+
+# ---------------------------------------------------------------------------
+# class counts from the connected levels
+# ---------------------------------------------------------------------------
+
+
+def _euler(c: list[int]) -> list[int]:
+    """The Euler transform a of c: a[n] is the number of multisets of
+    connected classes whose sizes add up to n, when c[k] classes have size
+    k (c[0] is ignored).  n a[n] = sum_k b[k] a[n-k], with b[k] the sum of
+    d c[d] over the divisors d of k (Harary & Palmer, "Graphical
+    Enumeration", 1973)."""
+    b = [sum(d * c[d] for d in range(1, k + 1) if k % d == 0)
+         for k in range(len(c))]
+    a = [1]
+    for n in range(1, len(c)):
+        a.append(sum(b[k] * a[n - k] for k in range(1, n + 1)) // n)
+    return a
+
+
+def _bipartite_sizes(levels: list[dict[bytes, Graph]]) -> list[int]:
+    return [sum(map(is_bipartite, level.values())) for level in levels]
+
+
+def _non_bipartite_count(m: int, key: _PruneKey) -> int:
+    """The number of non-bipartite classes with m edges and no isolated
+    vertex of the pruned class, from its connected levels: at least one
+    component is non-bipartite, so it is [x^m] (E(c_nb) - 1) E(c_b) for the
+    connected non-bipartite and bipartite counts c_nb and c_b.  The first
+    non-bipartite class has g edges, so c_b is needed only up to m - g."""
+    odd = [len(level) for level in _levels_up_to(m, ("odd-conn", key))]
+    g = next((k for k, size in enumerate(odd) if size), m + 1)
+    if g > m:
+        return 0
+    # small levels: m - g edges is at most m - 3, and no pool is started
+    bip = _euler(_bipartite_sizes(_levels_up_to(m - g, ("conn", key))))
+    odd = _euler(odd)
+    return sum(odd[k] * bip[m - k] for k in range(g, m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +705,16 @@ def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
                     quantity: Callable[[Graph], float], jobs: int,
                     conjecture: bool = False) -> CertificationReport:
     start = time.perf_counter()
-    graphs = list(enumerate_graphs(m, filt, jobs))
+    if filt.non_bipartite and not filt.connected:
+        # Gluing the components at a vertex keeps m and every cycle and
+        # raises lambda (Perron-Frobenius), so the connected classes hold
+        # every maximizer; the others are only counted.
+        graphs = list(enumerate_graphs(
+            m, replace(filt, connected=True), jobs))
+        examined = _non_bipartite_count(m, _prune_key(filt))
+    else:
+        graphs = list(enumerate_graphs(m, filt, jobs))
+        examined = len(graphs)
     vals = [quantity(g) for g in graphs]
     if graphs:
         max_val = max(vals)
@@ -605,7 +746,7 @@ def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
         theorem=theorem,
         m=m,
         filter=filt.describe(),
-        graphs_examined=len(graphs),
+        graphs_examined=examined,
         max_lambda=max_val,
         bound=bound,
         maximizers=tuple(maximizers),
@@ -740,7 +881,10 @@ def certify_mantel(n: int) -> CertificationReport:
     if n < 2:
         raise GraphError("needs n >= 2")
     start = time.perf_counter()
-    gs = graphs_on_vertices(n, triangle_free=True)
+    # an edge joining two components closes no cycle, so the maximizers are
+    # connected; the other classes are multisets of connected ones
+    gs = graphs_on_vertices(n, triangle_free=True, connected=True)
+    sizes = [len(level) for level in _levels_up_to(n, ("vertex-conn", True))]
     bound = n * n // 4
     max_m = max(g.m for g in gs)
     maximizers = sorted(canonical_form(g).decode() for g in gs if g.m == max_m)
@@ -753,7 +897,8 @@ def certify_mantel(n: int) -> CertificationReport:
         counter = tuple(sorted(set(maximizers) ^ set(expected)))
     return CertificationReport(
         theorem="mantel", m=n, filter="triangle-free (n-vertex)",
-        graphs_examined=len(gs), max_lambda=float(max_m), bound=float(bound),
+        graphs_examined=_euler(sizes)[n], max_lambda=float(max_m),
+        bound=float(bound),
         maximizers=tuple(maximizers), verdict=verdict,
         wall_time=time.perf_counter() - start, counterexamples=counter,
     )
@@ -766,8 +911,13 @@ def certify_erdos(n: int) -> CertificationReport:
     if n < 5:
         raise GraphError("needs n >= 5")
     start = time.perf_counter()
-    gs = [g for g in graphs_on_vertices(n, triangle_free=True)
+    # the maximizers are connected, as for Mantel; the count is that of all
+    # classes less the bipartite ones
+    gs = [g for g in graphs_on_vertices(n, triangle_free=True, connected=True)
           if not is_bipartite(g)]
+    levels = _levels_up_to(n, ("vertex-conn", True))
+    examined = (_euler([len(level) for level in levels])[n]
+                - _euler(_bipartite_sizes(levels))[n])
     bound = (n - 1) ** 2 // 4 + 1
     max_m = max(g.m for g in gs)
     maximizers = sorted(canonical_form(g).decode() for g in gs if g.m == max_m)
@@ -779,7 +929,7 @@ def certify_erdos(n: int) -> CertificationReport:
     counter = () if attained else tuple(maximizers)
     return CertificationReport(
         theorem="erdos", m=n, filter="triangle-free non-bipartite (n-vertex)",
-        graphs_examined=len(gs), max_lambda=float(max_m), bound=float(bound),
+        graphs_examined=examined, max_lambda=float(max_m), bound=float(bound),
         maximizers=tuple(maximizers), verdict=verdict,
         wall_time=time.perf_counter() - start, counterexamples=counter,
     )

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import networkx as nx
@@ -37,6 +38,7 @@ from specbound.graphs import (
     disjoint_union,
     erdos_extremal,
     from_graph6,
+    is_bipartite,
     is_connected,
     is_triangle_free,
     path,
@@ -535,11 +537,12 @@ class TestConjecture51:
                                               (2, certify_main)])
     def test_reuses_the_equivalent_theorems_levels(self, fresh_levels, k,
                                                    certifier):
-        # the non-bipartite certifiers build only the non-bipartite levels
+        # the non-bipartite certifiers build only connected levels: the
+        # non-bipartite ones, and the bipartite ones they count with
         certifier(9)
         built = {growth: len(levels)
                  for growth, levels in certify._LEVELS.items()}
-        assert built and {kind for kind, _ in built} == {"odd"}
+        assert built and {kind for kind, _ in built} == {"odd-conn", "conn"}
         certify_conj51(9, k)
         assert {growth: len(levels)
                 for growth, levels in certify._LEVELS.items()} == built
@@ -555,6 +558,48 @@ class TestConjecture51:
         from specbound.graphs import GraphError
         with pytest.raises(GraphError):
             certify_conj51(8, 2)
+
+
+class TestConnectedReports:
+    """The non-bipartite, Mantel and Erdos certifiers examine only the
+    connected classes and count the others.  Their reports must equal the
+    ones the full levels give: the same enumerator call without
+    `connected` returns every class of the full levels."""
+
+    @pytest.mark.parametrize("certifier, args", [
+        *[(certify_thm15, (m,)) for m in range(3, 11)],
+        *[(certify_zhai_shu, (m,)) for m in range(5, 11)],
+        *[(certify_main, (m,)) for m in range(7, 12)],
+        (certify_conj51, (9, 3)),
+        (certify_conj51, (11, 3)),
+        *[(certify_mantel, (n,)) for n in range(2, 8)],
+        *[(certify_erdos, (n,)) for n in range(5, 8)],
+    ], ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)))
+    def test_fields_match_the_full_levels(self, monkeypatch, certifier,
+                                          args):
+        report = certifier(*args)
+        real_graphs = certify.enumerate_graphs
+        real_vertices = certify.graphs_on_vertices
+        full = []
+
+        def every_graph(m, filt, jobs=1):
+            full.extend(real_graphs(m, replace(filt, connected=False), jobs))
+            return iter(full)
+
+        def every_graph_on(n, triangle_free=True, connected=False):
+            full.extend(real_vertices(n, triangle_free))
+            return full
+
+        monkeypatch.setattr(certify, "enumerate_graphs", every_graph)
+        monkeypatch.setattr(certify, "graphs_on_vertices", every_graph_on)
+        want = certifier(*args)
+        if certifier is certify_erdos:
+            full = [g for g in full if not is_bipartite(g)]
+        assert report.graphs_examined == len(full)
+        assert report.max_lambda.hex() == want.max_lambda.hex()
+        assert report.maximizers == want.maximizers
+        assert report.verdict == want.verdict
+        assert report.counterexamples == want.counterexamples
 
 
 class TestReports:

@@ -234,5 +234,9 @@ class TestSweep:
         # an empty level store, so that --jobs 2 enumerates through the pool
         fresh_levels()
         run(capsys, "sweep", "--jobs", "2", "--json-dir", str(pooled))
-        assert pool_starts
+        # one pool per certifier call that builds a level with at least 4
+        # parents per job: 3 calls on this plan (4 when the certifiers built
+        # the full levels); the bipartite levels that the non-bipartite
+        # counts read are built without one
+        assert 0 < len(pool_starts) <= 4
         assert self.reports(pooled) == self.reports(serial)

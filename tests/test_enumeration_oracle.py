@@ -6,7 +6,9 @@ enumerators used before canonical augmentation.  It shares only the pruning
 rule (`_edge_allowed`) and `canonical_form` with them, so equal canonical-form
 sets check the acceptance rule independently.  The non-bipartite levels,
 grown from odd cycles, are checked against the full levels filtered by
-`is_bipartite`.  Digests recorded from the earlier relabel-then-encode
+`is_bipartite`, the connected levels against the full levels filtered by
+`is_connected`, and the class counts the certifiers take from the connected
+levels by the Euler transform against the sizes of the full levels.  Digests recorded from the earlier relabel-then-encode
 labelling pin `canonical_form` and the stored levels bit for bit, and the
 full-rank step-1 rule is kept here as the reference for the incremental one.
 """
@@ -20,8 +22,13 @@ from specbound import certify
 from specbound.certify import (
     ClassFilter,
     _edge_allowed,
+    _euler,
     _every_piece,
+    _keeps_connected,
+    _keeps_connected_odd_cycle,
     _keeps_odd_cycle,
+    _non_bipartite_count,
+    _not_a_cut_vertex,
     _prune_key,
 )
 from specbound.graphs import (
@@ -31,6 +38,7 @@ from specbound.graphs import (
     disjoint_union,
     empty_graph,
     is_bipartite,
+    is_connected,
     path,
 )
 
@@ -76,14 +84,27 @@ def reference_vertex_levels(n: int, triangle_free: bool) -> list[set[bytes]]:
     return out
 
 
-@pytest.mark.parametrize("filt", [
+def describe(v) -> str:
+    return v.describe() if isinstance(v, ClassFilter) else str(v)
+
+
+EDGE_FILTERS = [
     ClassFilter(),
     ClassFilter(c5_free=True),
     ClassFilter(triangle_free=True),
     ClassFilter(triangle_free=True, c5_free=True),
     ClassFilter(odd_girth_min=7),
     ClassFilter(odd_girth_min=9),
-], ids=lambda f: f.describe())
+]
+NON_BIPARTITE_FILTERS = [
+    (ClassFilter(), 8),
+    (ClassFilter(triangle_free=True), 10),
+    (ClassFilter(triangle_free=True, c5_free=True), 10),
+    (ClassFilter(odd_girth_min=9), 10),
+]
+
+
+@pytest.mark.parametrize("filt", EDGE_FILTERS, ids=describe)
 def test_edge_levels_match_reference(filt):
     key = _prune_key(filt)
     levels = certify._levels_up_to(MAX_M, ("edge", key))
@@ -101,12 +122,7 @@ def test_vertex_levels_match_reference(triangle_free):
         assert got == sorted(want[n])
 
 
-@pytest.mark.parametrize("filt, max_m", [
-    (ClassFilter(), 8),
-    (ClassFilter(triangle_free=True), 10),
-    (ClassFilter(triangle_free=True, c5_free=True), 10),
-    (ClassFilter(odd_girth_min=9), 10),
-], ids=lambda v: v.describe() if isinstance(v, ClassFilter) else str(v))
+@pytest.mark.parametrize("filt, max_m", NON_BIPARTITE_FILTERS, ids=describe)
 def test_non_bipartite_levels_match_filtered_levels(filt, max_m):
     key = _prune_key(filt)
     full = certify._levels_up_to(max_m, ("edge", key))
@@ -115,6 +131,68 @@ def test_non_bipartite_levels_match_filtered_levels(filt, max_m):
         want = [c for c, g in full[m].items() if not is_bipartite(g)]
         assert list(grown[m]) == want, m
         assert all(canonical_form(g) == c for c, g in grown[m].items())
+
+
+# The connected growths keep every class the full growth stores, with the
+# same representative, and drop the others; multisets of their classes
+# count the full levels.
+
+
+def stored(level: dict) -> list:
+    return [(c, g.n, g.edges) for c, g in level.items()]
+
+
+def connected_part(level: dict) -> list:
+    return [(c, g.n, g.edges) for c, g in level.items() if is_connected(g)]
+
+
+def sizes(levels: list) -> list[int]:
+    return [len(level) for level in levels]
+
+
+@pytest.mark.parametrize("filt", EDGE_FILTERS, ids=describe)
+def test_connected_levels_match_filtered_levels(filt):
+    key = _prune_key(filt)
+    full = certify._levels_up_to(MAX_M, ("edge", key))
+    conn = certify._levels_up_to(MAX_M, ("conn", key))
+    for m in range(MAX_M + 1):
+        assert stored(conn[m]) == connected_part(full[m]), m
+    assert _euler(sizes(conn[:MAX_M + 1]))[1:] == sizes(full[1:MAX_M + 1])
+
+
+@pytest.mark.parametrize("filt, max_m", NON_BIPARTITE_FILTERS, ids=describe)
+def test_connected_non_bipartite_levels_match_filtered_levels(filt, max_m):
+    key = _prune_key(filt)
+    full = certify._levels_up_to(max_m, ("odd", key))
+    conn = certify._levels_up_to(max_m, ("odd-conn", key))
+    for m in range(max_m + 1):
+        assert stored(conn[m]) == connected_part(full[m]), m
+        assert _non_bipartite_count(m, key) == len(full[m]), m
+
+
+@pytest.mark.parametrize("triangle_free", [True, False])
+def test_connected_vertex_levels_match_filtered_levels(triangle_free):
+    certify.graphs_on_vertices(MAX_N, triangle_free)
+    full = certify._LEVELS["vertex", triangle_free]
+    for n in range(1, MAX_N + 1):
+        graphs = certify.graphs_on_vertices(n, triangle_free, connected=True)
+        assert [(canonical_form(g), g.n, g.edges) for g in graphs] \
+            == connected_part(full[n]), n
+    conn = certify._LEVELS["vertex-conn", triangle_free][:MAX_N + 1]
+    full = full[:MAX_N + 1]
+    assert _euler(sizes(conn))[1:] == sizes(full)[1:]
+    bipartite = [sum(map(is_bipartite, level.values())) for level in full]
+    assert _euler(certify._bipartite_sizes(conn))[1:] == bipartite[1:]
+
+
+@pytest.mark.parametrize("connected, everything", [
+    # A024607 connected triangle-free graphs -> A006785 triangle-free graphs
+    ([1, 1, 1, 3, 6, 19, 59, 267], [1, 2, 3, 7, 14, 38, 107, 410]),
+    # A005142 connected bipartite graphs -> A033995 bipartite graphs
+    ([1, 1, 1, 3, 5, 17, 44, 182], [1, 2, 3, 7, 13, 35, 88, 303]),
+], ids=["triangle-free", "bipartite"])
+def test_euler_transform_matches_oeis(connected, everything):
+    assert _euler([0] + connected) == [1] + everything
 
 
 def without_isolated_vertices(g: Graph) -> Graph:
@@ -136,6 +214,32 @@ def test_only_odd_cycles_lack_an_allowed_piece(g):
     odd_cycle = h.n % 2 == 1 and canonical_form(h) == canonical_form(
         cycle(h.n))
     assert (not pieces) == odd_cycle
+
+
+@given(graphs_st(max_n=9))
+@example(path(2))
+@example(path(4))
+@example(cycle(5))
+@example(Graph(4, ((0, 1), (1, 2), (2, 3), (0, 2))))
+def test_connected_pieces_match_their_definition(g):
+    h = without_isolated_vertices(g)
+    if not h.m or not is_connected(h):
+        return
+    pieces = [e for e in h.edges if _keeps_connected(h.n, h.edges, e)]
+    assert pieces == [e for e in h.edges if is_connected(
+        without_isolated_vertices(Graph(h.n, tuple(f for f in h.edges
+                                                    if f != e))))]
+    assert pieces  # K2 leaves the empty graph, which is never asked about
+    if not is_bipartite(h):
+        odd = [e for e in h.edges
+               if _keeps_connected_odd_cycle(h.n, h.edges, e)]
+        assert odd == [e for e in pieces if _keeps_odd_cycle(h.n, h.edges, e)]
+        odd_cycle = canonical_form(h) == canonical_form(cycle(h.n))
+        assert (not odd) == odd_cycle
+    cut = [v for v in range(h.n) if not _not_a_cut_vertex(h.n, h.edges, v)]
+    assert cut == [v for v in range(h.n) if not is_connected(
+        h.induced(w for w in range(h.n) if w != v))]
+    assert len(cut) <= h.n - 2
 
 
 # sha256 digests recorded before canonical forms were read off the labelling
@@ -254,6 +358,36 @@ def test_vertex_step_one_matches_full_rank_rule(triangle_free, g):
     want = reference_step_one(vertex_augmentations(g, triangle_free),
                               vertex_ranks, _every_piece)
     assert list(certify._vertex_growth(g, triangle_free)) == want
+
+
+# A connected growth drops the augmentations that leave the child
+# disconnected: the new K2 component, and the new vertex joined to nothing.
+
+
+@pytest.mark.parametrize("allowed", [_keeps_connected,
+                                     _keeps_connected_odd_cycle],
+                         ids=lambda f: f.__name__)
+@given(graphs_st(max_n=8))
+@example(path(2))
+@example(cycle(5))
+@example(disjoint_union(cycle(5), path(3)))
+def test_connected_edge_step_one_matches_full_rank_rule(allowed, g):
+    key = (False, False, None)
+    connected = [a for a in edge_augmentations(g, key) if a[0] <= g.n + 1]
+    want = reference_step_one(connected, edge_ranks, allowed)
+    assert list(certify._edge_growth(g, key, allowed, True)) == want
+
+
+@pytest.mark.parametrize("triangle_free", [False, True])
+@given(graphs_st(max_n=7))
+@example(Graph(1, ()))
+@example(cycle(5))
+def test_connected_vertex_step_one_matches_full_rank_rule(triangle_free, g):
+    connected = [a for a in vertex_augmentations(g, triangle_free)
+                 if len(a[1]) > g.m]
+    want = reference_step_one(connected, vertex_ranks, _not_a_cut_vertex)
+    assert list(certify._vertex_growth(g, triangle_free, _not_a_cut_vertex,
+                                       True)) == want
 
 
 # The orbit step of `_children` (skip augmentations in the Aut(g)-orbit of an
