@@ -12,7 +12,9 @@ grown on its own, from the odd cycles its pruning allows, with the edges
 whose deletion leaves an odd cycle as the pieces, so no bipartite class is
 ever built.  A connected class is grown on its own too, from K2 (or the odd
 cycles, or K1 for the vertex-indexed levels), with the pieces whose deletion
-leaves it connected.  Mantel and Erdos checks use the vertex-indexed
+leaves it connected.  Each piece test reads the child's neighbour bitmasks
+and answers with at most one breadth-first search per component,
+`graphs._search`.  Mantel and Erdos checks use the vertex-indexed
 enumeration, which adds one vertex at a time.  Both take the orbit step of
 the construction with the automorphisms the labelling search meets: a
 parent is augmented once per orbit of its automorphism group, and a tied
@@ -41,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import bounds
 from . import spectra
@@ -52,7 +54,6 @@ from .graphs import (
     automorphism_generators,
     canonical_form,
     complete_bipartite,
-    connected_components,
     cycle,
     disjoint_union,
     erdos_extremal,
@@ -67,6 +68,7 @@ from .graphs import (
     sk,
     s_odd,
     _edge_on_c5,
+    _search,
     _two_colourable,
 )
 
@@ -130,18 +132,20 @@ _Piece = TypeVar("_Piece")
 def _children(parents: Iterable[tuple[bytes, Graph]],
               grow: Callable[[Graph], Iterable[tuple[int, tuple, list]]],
               delete: Callable[[Graph, _Piece], Graph],
-              allowed: Callable[[int, tuple, _Piece], bool]
+              allowed: Callable[[Sequence[int], _Piece], bool]
               ) -> list[tuple[bytes, Graph]]:
     """(canonical form, h) for every child h = g + piece of the given
     (canonical form, g) parents whose canonical parent is g.
 
-    Pieces are ranked by an isomorphism invariant, `allowed(n, edges, f)`
-    says whether deleting piece f leaves a graph of the class being grown
-    (also an invariant), and `delete(h, f)` is the graph left by removing
-    piece f.  The canonical parent of h is the greatest canonical form among
-    the deletions of its least-ranked allowed pieces, so h is kept only when
-    no allowed piece ranks below the piece just added (which every parent
-    makes allowed) and no tied allowed piece leaves a greater parent.
+    Pieces are ranked by an isomorphism invariant, `allowed(masks, f)`
+    says whether deleting piece f from the graph with these neighbour
+    bitmasks leaves a graph of the class being grown (also an invariant),
+    and leaves the masks unchanged; `delete(h, f)` is the graph left by
+    removing piece f.  The canonical parent of h is the greatest canonical
+    form among the deletions of its least-ranked allowed pieces, so h is
+    kept only when no allowed piece ranks below the piece just added (which
+    every parent makes allowed) and no tied allowed piece leaves a greater
+    parent.
     `grow(g)` applies the first test: it yields (n, edges, ties) for every
     h that passes it, with the other pieces of h that tie with the new one.
     The new piece is the last edge of an edge child and the last vertex of
@@ -173,7 +177,7 @@ def _children(parents: Iterable[tuple[bytes, Graph]],
             if ties:
                 new = n - 1 if type(ties[0]) is int else edges[-1]
                 copies = _orbit(new, automorphism_generators(h), _moved)
-                if any(f not in copies and allowed(n, edges, f)
+                if any(f not in copies and allowed(h._masks, f)
                        and canonical_form(delete(h, f)) > parent_key
                        for f in ties):
                     continue
@@ -209,7 +213,7 @@ def _orbit(x, gens: Iterable[bytes], act: Callable) -> set:
     return orbit
 
 
-def _every_piece(n: int, edges: tuple, piece) -> bool:
+def _every_piece(masks: Sequence[int], piece) -> bool:
     return True
 
 
@@ -291,14 +295,15 @@ def _edge_allowed(g: Graph, u: int, v: int, key: _PruneKey) -> bool:
 
 
 def _edge_growth(g: Graph, key: _PruneKey,
-                 allowed: Callable[[int, tuple, Edge], bool],
+                 allowed: Callable[[Sequence[int], Edge], bool],
                  connected: bool = False
                  ) -> Iterator[tuple[int, tuple, list[Edge]]]:
     """(n, edges, ties) for every h = g + e, e = (a, b), in which no allowed
     edge ranks below e; ties are the other edges that rank with e, in edge
     order.  A connected growth never adds e as a new K2 component.  In h,
     a and b each gain a neighbour, and the neighbour-degree sum of each of
-    their old neighbours rises by one."""
+    their old neighbours rises by one.  The masks of h are built when
+    `allowed` is first asked about one of its edges."""
     n = g.n
     masks = g._masks + (0, 0)
     inv = _vertex_ranks(g) + [0, 0]
@@ -316,14 +321,20 @@ def _edge_growth(g: Graph, key: _PruneKey,
         mine = _edge_rank(ia, ib)
         nh = max(n, b + 1)
         ties = []
+        child = None
         for r, u, v in islice(ranked, bisect_right(ranks, mine)):
             iu = ia if u == a else ib if u == b else (
                 inv[u] + (ma >> u & 1) + (mb >> u & 1))
             iv = ia if v == a else ib if v == b else (
                 inv[v] + (ma >> v & 1) + (mb >> v & 1))
             r = _edge_rank(iu, iv)
-            if r < mine and allowed(nh, g.edges + ((a, b),), (u, v)):
-                break
+            if r < mine:
+                if child is None:
+                    child = list(masks[:nh])
+                    child[a] |= 1 << b
+                    child[b] |= 1 << a
+                if allowed(child, (u, v)):
+                    break
             if r == mine:
                 ties.append((u, v))
         else:
@@ -339,60 +350,43 @@ def _drop_edge(h: Graph, e: Edge) -> Graph:
     return Graph(h.n, tuple(f for f in h.edges if f != e))
 
 
-def _masks_without(n: int, edges: tuple, e: Edge) -> list[int]:
-    masks = [0] * n
-    for u, v in edges:
-        if (u, v) != e:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-    return masks
-
-
-def _keeps_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
-    """Whether the graph with these edges is still non-bipartite without e."""
-    return not _two_colourable(_masks_without(n, edges, e))
-
-
-def _search(masks: list[int], s: int) -> tuple[int, bool]:
-    """(component of s as a vertex mask, whether it holds an odd cycle), by
-    one breadth-first search: an edge inside one layer closes an odd cycle,
-    and no other edge does."""
-    comp = frontier = 1 << s
-    odd = False
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            mv = masks[v]
-            if mv & frontier:
-                odd = True
-            nxt |= mv
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp, odd
-
-
-def _keeps_connected(n: int, edges: tuple, e: Edge) -> bool:
-    """Whether the connected graph with these edges (and no isolated
-    vertex) stays connected without e, once an end that e leaves isolated
-    is dropped: e is pendant or not a bridge."""
-    masks = _masks_without(n, edges, e)
+def _without_edge(masks: Sequence[int], e: Edge) -> list[int]:
+    """A copy of the masks with the edge e cleared."""
     u, v = e
-    return not masks[u] or not masks[v] or bool(_search(masks, u)[0] >> v & 1)
+    rest = list(masks)
+    rest[u] &= ~(1 << v)
+    rest[v] &= ~(1 << u)
+    return rest
 
 
-def _keeps_connected_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
+def _pendant(masks: Sequence[int], e: Edge) -> bool:
+    u, v = e
+    return masks[u] == 1 << v or masks[v] == 1 << u
+
+
+def _keeps_odd_cycle(masks: Sequence[int], e: Edge) -> bool:
+    """Whether the graph with these masks is still non-bipartite without
+    the edge e."""
+    return not _two_colourable(_without_edge(masks, e))
+
+
+def _keeps_connected(masks: Sequence[int], e: Edge) -> bool:
+    """Whether the connected graph with these masks (and no isolated
+    vertex) stays connected without the edge e, once an end that e leaves
+    isolated is dropped: e is pendant or not a bridge."""
+    u, v = e
+    return _pendant(masks, e) or bool(
+        _search(_without_edge(masks, e), u)[0] >> v & 1)
+
+
+def _keeps_connected_odd_cycle(masks: Sequence[int], e: Edge) -> bool:
     """`_keeps_connected` and `_keeps_odd_cycle` of a connected
     non-bipartite graph, in one search.  A pendant edge lies on no cycle,
     so it passes both."""
-    masks = _masks_without(n, edges, e)
-    u, v = e
-    if not masks[u] or not masks[v]:
+    if _pendant(masks, e):
         return True
-    comp, odd = _search(masks, u)
-    return odd and comp == (1 << n) - 1
+    comp, odd = _search(_without_edge(masks, e), e[0])
+    return odd and comp == (1 << len(masks)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +395,17 @@ def _keeps_connected_odd_cycle(n: int, edges: tuple, e: Edge) -> bool:
 
 
 def _vertex_growth(g: Graph, triangle_free: bool,
-                   allowed: Callable[[int, tuple, int], bool] = _every_piece,
+                   allowed: Callable[[Sequence[int], int], bool]
+                   = _every_piece,
                    connected: bool = False
                    ) -> Iterator[tuple[int, tuple, list[int]]]:
     """(n, edges, ties) for every h = g + vertex k joined to a set S, in
     which no allowed vertex ranks below k; ties are the other vertices that
     rank with k.  A connected growth never takes S empty.  In h, each vertex
     of S gains the neighbour k of degree |S|, and the neighbour-degree sum
-    of every old vertex rises by its number of neighbours in S."""
+    of every old vertex rises by its number of neighbours in S.  The masks
+    of h are built when `allowed` is first asked about one of its
+    vertices."""
     k = g.n
     masks = g._masks
     inv = _vertex_ranks(g)
@@ -428,12 +425,17 @@ def _vertex_growth(g: Graph, triangle_free: bool,
         size = mine >> _NDS_BITS
         edges = g.edges + tuple((v, k) for v in range(k) if nb >> v & 1)
         ties = []
+        child = None
         for r, v in islice(ranked, bisect_right(ranks, mine)):
             if nb >> v & 1:
                 r += _DEG_ONE + size
             r += (masks[v] & nb).bit_count()
-            if r < mine and allowed(k + 1, edges, v):
-                break
+            if r < mine:
+                if child is None:
+                    child = [mv | (nb >> w & 1) << k
+                             for w, mv in enumerate(masks)] + [nb]
+                if allowed(child, v):
+                    break
             if r == mine:
                 ties.append(v)
         else:
@@ -444,16 +446,17 @@ def _drop_vertex(h: Graph, v: int) -> Graph:
     return h.induced(w for w in range(h.n) if w != v)
 
 
-def _not_a_cut_vertex(n: int, edges: tuple, v: int) -> bool:
-    """Whether the connected graph with these edges stays connected
-    without v."""
-    masks = [0] * n
-    for a, b in edges:
-        if v != a and v != b:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-    rest = ((1 << n) - 1) & ~(1 << v)
-    return not rest or _search(masks, rest.bit_length() - 1)[0] == rest
+def _not_a_cut_vertex(masks: Sequence[int], v: int) -> bool:
+    """Whether the connected graph with these masks stays connected
+    without v.  The search from another vertex does not pass through v
+    once v has no neighbours, and it still reaches v from a neighbour
+    exactly when the rest is connected."""
+    n = len(masks)
+    if n == 1:
+        return True
+    rest = list(masks)
+    rest[v] = 0
+    return _search(rest, (v + 1) % n)[0] == (1 << n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +479,7 @@ _LEVELS: dict[_Growth, list[dict[bytes, Graph]]] = {}
 # a spanning tree, or an edge off it), and every connected non-bipartite one
 # but an odd cycle such an edge (take a spanning tree that holds all of one
 # odd cycle but one edge).
-_PIECES: dict[str, Callable[[int, tuple, object], bool]] = {
+_PIECES: dict[str, Callable[[Sequence[int], object], bool]] = {
     "edge": _every_piece,
     "odd": _keeps_odd_cycle,
     "conn": _keeps_connected,
@@ -941,19 +944,16 @@ def certify_erdos(n: int) -> CertificationReport:
 
 
 def is_complete_bipartite(g: Graph) -> bool:
-    if g.n == 0 or not is_connected(g) or not is_bipartite(g):
+    """Whether g is K1 or K_{s,t} with s, t >= 1: every vertex is joined to
+    exactly the side it is not on, where the neighbours of vertex 0 form
+    one side and the other vertices the other."""
+    if g.n == 0:
         return False
-    side = [None] * g.n
-    side[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if side[u] is None:
-                side[u] = 1 - side[v]
-                stack.append(u)
-    s = sum(1 for x in side if x == 0)
-    return g.m == s * (g.n - s)
+    other = g.mask(0)
+    side = ((1 << g.n) - 1) ^ other
+    return bool(other or g.n == 1) and all(
+        mv == (other if side >> v & 1 else side)
+        for v, mv in enumerate(g._masks))
 
 
 @dataclass(frozen=True)

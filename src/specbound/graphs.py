@@ -2,7 +2,9 @@
 
 Graphs are immutable values (vertex count plus a sorted edge tuple) with
 cached adjacency bitmasks, so every operation here is safe to call from
-multiple threads and results can be shared freely.
+multiple threads and results can be shared freely.  Connectivity and
+bipartiteness are both read off one breadth-first search on those bitmasks,
+`_search`, which the enumerators' piece tests in `certify` share.
 """
 
 from __future__ import annotations
@@ -346,30 +348,48 @@ GALLERY_SPECTRA: dict[str, tuple[float, ...]] = {
 # ---------------------------------------------------------------------------
 
 
+def _search(masks: Sequence[int], s: int) -> tuple[int, bool]:
+    """(component of s as a vertex mask, whether it holds an odd cycle) in
+    the graph with these neighbour bitmasks, by one breadth-first search:
+    search edges join adjacent layers, so an edge inside one layer closes
+    an odd cycle, and a component with no such edge is two-coloured by the
+    parity of its layers.  Every connectivity and bipartiteness test is
+    built on it."""
+    comp = frontier = 1 << s
+    odd = False
+    while frontier:
+        nxt = 0
+        f = frontier
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            mv = masks[v]
+            if mv & frontier:
+                odd = True
+            nxt |= mv
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp, odd
+
+
+def _components(masks: Sequence[int]) -> Iterator[tuple[int, bool]]:
+    """`_search` of every component, in order of their lowest vertices."""
+    rest = (1 << len(masks)) - 1
+    while rest:
+        comp, odd = _search(masks, (rest & -rest).bit_length() - 1)
+        rest ^= comp
+        yield comp, odd
+
+
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    seen = 0
-    comps = []
-    for s in range(g.n):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = 1 << s
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= g.mask(v)
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(tuple(v for v in range(g.n) if comp >> v & 1))
-    return comps
+    """The components of g in order of their lowest vertices, each with its
+    vertices in ascending order."""
+    return [tuple(v for v in range(g.n) if comp >> v & 1)
+            for comp, _ in _components(g._masks)]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return g.n <= 1 or _search(g._masks, 0)[0] == (1 << g.n) - 1
 
 
 def odd_girth(g: Graph) -> float:
@@ -402,33 +422,13 @@ def odd_girth(g: Graph) -> float:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """BFS 2-colouring, one search per component: BFS edges only join equal
-    or adjacent depths, so g is bipartite iff no edge joins two vertices of
-    the same depth (the same BFS layer)."""
+    """Whether no component holds an odd cycle, by one `_search` each."""
     return _two_colourable(g._masks)
 
 
 def _two_colourable(masks: Sequence[int]) -> bool:
     """`is_bipartite` on neighbour bitmasks, one per vertex."""
-    seen = 0
-    for s in range(len(masks)):
-        if seen >> s & 1:
-            continue
-        comp = frontier = 1 << s
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                mv = masks[v]
-                if mv & frontier:
-                    return False
-                nxt |= mv
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-    return True
+    return not any(odd for _, odd in _components(masks))
 
 
 def triangle_count(g: Graph) -> int:
@@ -767,13 +767,12 @@ def _canonical_labelling(g: Graph
     the swaps of consecutive components with equal canonical copies."""
     if g.n > CANONICAL_MAX_N:
         raise SizeLimitError(f"canonical form limited to n <= {CANONICAL_MAX_N}")
-    comps = connected_components(g)
-    if len(comps) <= 1:
+    if is_connected(g):
         order, cols, gens = _canon_component(range(g.n), g._masks)
         return tuple(order), _graph6_bytes(g.n, cols), tuple(gens)
     labelled = []
     gens = []
-    for comp in comps:
+    for comp in connected_components(g):
         order, cols, comp_gens = _canon_component(comp, g._masks)
         k = len(comp)
         edges = tuple((i, j) for i in range(k) for j in range(i + 1, k)

@@ -517,6 +517,15 @@ class TestBooksize:
         assert not is_complete_bipartite(cycle(5))
         assert not is_complete_bipartite(disjoint_union(path(2), path(2)))
         assert not is_complete_bipartite(sk(2, 2))
+        assert not is_complete_bipartite(Graph(0, ()))
+        assert is_complete_bipartite(Graph(1, ()))
+        assert not is_complete_bipartite(Graph(2, ()))
+        for t in range(1, 6):
+            assert is_complete_bipartite(complete_bipartite(1, t))
+        assert is_complete_bipartite(cycle(4))
+        assert not is_complete_bipartite(path(4))
+        assert not is_complete_bipartite(
+            disjoint_union(complete_bipartite(2, 3), Graph(1, ())))
 
 
 class TestConjecture51:

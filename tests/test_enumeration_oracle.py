@@ -208,7 +208,7 @@ def test_only_odd_cycles_lack_an_allowed_piece(g):
     h = without_isolated_vertices(g)
     if is_bipartite(h):
         return
-    pieces = [e for e in h.edges if _keeps_odd_cycle(h.n, h.edges, e)]
+    pieces = [e for e in h.edges if _keeps_odd_cycle(h._masks, e)]
     assert pieces == [e for e in h.edges if not is_bipartite(
         Graph(h.n, tuple(f for f in h.edges if f != e)))]
     odd_cycle = h.n % 2 == 1 and canonical_form(h) == canonical_form(
@@ -225,21 +225,40 @@ def test_connected_pieces_match_their_definition(g):
     h = without_isolated_vertices(g)
     if not h.m or not is_connected(h):
         return
-    pieces = [e for e in h.edges if _keeps_connected(h.n, h.edges, e)]
+    pieces = [e for e in h.edges if _keeps_connected(h._masks, e)]
     assert pieces == [e for e in h.edges if is_connected(
         without_isolated_vertices(Graph(h.n, tuple(f for f in h.edges
                                                     if f != e))))]
     assert pieces  # K2 leaves the empty graph, which is never asked about
     if not is_bipartite(h):
         odd = [e for e in h.edges
-               if _keeps_connected_odd_cycle(h.n, h.edges, e)]
-        assert odd == [e for e in pieces if _keeps_odd_cycle(h.n, h.edges, e)]
+               if _keeps_connected_odd_cycle(h._masks, e)]
+        assert odd == [e for e in pieces if _keeps_odd_cycle(h._masks, e)]
         odd_cycle = canonical_form(h) == canonical_form(cycle(h.n))
         assert (not odd) == odd_cycle
-    cut = [v for v in range(h.n) if not _not_a_cut_vertex(h.n, h.edges, v)]
+    cut = [v for v in range(h.n) if not _not_a_cut_vertex(h._masks, v)]
     assert cut == [v for v in range(h.n) if not is_connected(
         h.induced(w for w in range(h.n) if w != v))]
     assert len(cut) <= h.n - 2
+
+
+# The growths ask every piece test about one shared list of the child's
+# masks, so a test that cleared an edge or a vertex in place would change the
+# answers to the pieces asked after it.
+
+
+@pytest.mark.parametrize("allowed, pieces", [
+    (_keeps_odd_cycle, lambda g: g.edges),
+    (_keeps_connected, lambda g: g.edges),
+    (_keeps_connected_odd_cycle, lambda g: g.edges),
+    (_not_a_cut_vertex, lambda g: range(g.n)),
+], ids=["odd-cycle", "connected", "connected-odd-cycle", "cut-vertex"])
+def test_piece_tests_leave_the_masks_unchanged(allowed, pieces):
+    for g in seeded_graphs(29, 200, 9):
+        masks = list(g._masks)
+        for f in pieces(g):
+            allowed(masks, f)
+            assert masks == list(g._masks), (g, f)
 
 
 # sha256 digests recorded before canonical forms were read off the labelling
@@ -331,7 +350,8 @@ def reference_step_one(augmentations, ranks, allowed) -> list:
     for n, edges, piece in augmentations:
         rank = ranks(n, edges)
         mine = rank[piece]
-        if any(r < mine and allowed(n, edges, f) for f, r in rank.items()):
+        masks = Graph(n, edges)._masks
+        if any(r < mine and allowed(masks, f) for f, r in rank.items()):
             continue
         out.append((n, edges, [f for f, r in rank.items()
                                if r == mine and f != piece]))

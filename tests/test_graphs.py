@@ -27,6 +27,7 @@ from specbound.graphs import (
     canonical_graph,
     complete,
     complete_bipartite,
+    connected_components,
     contains_c5,
     cycle,
     disjoint_union,
@@ -300,6 +301,25 @@ class TestPredicates:
                                     rng.choice((0.0, 0.3, 0.6)))
                 g = disjoint_union(g, part)
             assert is_bipartite(g) == (odd_girth(g) == math.inf)
+
+    def test_components_match_networkx(self):
+        # `_canonical_labelling` stable-sorts the components, so the pinned
+        # representatives depend on their order as well as on their sets
+        rng = random.Random(41)
+        shapes = set()
+        for n in range(13):
+            for p in (0.05, 0.1, 0.2, 0.35, 0.6):
+                for _ in range(4):
+                    g = random_graph(rng, n, p)
+                    nxg = nx.empty_graph(n)
+                    nxg.add_edges_from(g.edges)
+                    want = sorted(tuple(sorted(c))
+                                  for c in nx.connected_components(nxg))
+                    assert connected_components(g) == want, g
+                    assert is_connected(g) == (n == 0 or nx.is_connected(nxg))
+                    shapes.add((len(want) > 1, any(len(c) == 1 for c in want)))
+        assert shapes == {(False, False), (False, True), (True, False),
+                          (True, True)}
 
     def test_edge_on_c5_matches_path_search(self):
         # a path u-a-b-c-v of distinct vertices, grown one vertex at a time
