@@ -16,7 +16,8 @@ Horner value p^(x) only when |p^(x)| exceeds the rounding bound of Horner's
 rule (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 section 5.1, eq. (5.3)): |p^(x) - p(x)| <= gamma_2d * sum |c_i| |x|^i with
 gamma_2d = 2du / (1 - 2du) and u = 2^-53.  Otherwise the sign is computed
-exactly over the integers.
+exactly over the integers.  The guard is computed once per bracket, and the
+bisection tests each midpoint against it inline.
 """
 
 from __future__ import annotations
@@ -203,19 +204,19 @@ def _dyadic_sign(coeffs: tuple[int, ...], x: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_on(coeffs: tuple[int, ...], lo: float, hi: float):
-    """Return a function giving the exact sign of an integer polynomial at
-    any float x in [lo, hi].
+def _float_form(coeffs: tuple[int, ...], lo: float, hi: float
+                ) -> tuple[tuple[float, ...], float]:
+    """Float coefficients, highest degree first, and the guard of Horner's
+    rule for an integer polynomial at any float x in [lo, hi].
 
     With r = max(1, |lo|, |hi|) and scale = sum |c_i| r^i, the float Horner
     value at such an x is within gamma_2d * scale of the exact value
     (Higham, eq. (5.3)), and guard = 4 (d+1) u * scale exceeds that even
     after the rounding of scale itself.  A float value beyond the guard
     decides the sign; anything else is computed exactly.  When a coefficient
-    is not an exact double, or scale might overflow, every sign is exact."""
-    fc: tuple[float, ...] = ()
-    guard = math.inf  # |0.0| > inf never holds: every sign goes exact
-    if all(abs(c) < _EXACT_INT for c in coeffs):
+    is not an exact double, or scale might overflow, the form is empty and
+    the guard infinite, so every sign is exact."""
+    if max(map(abs, coeffs)) < _EXACT_INT:
         r = max(1.0, abs(lo), abs(hi))
         scale = 0.0
         for c in reversed(coeffs):
@@ -223,18 +224,21 @@ def _sign_on(coeffs: tuple[int, ...], lo: float, hi: float):
         # Horner intermediates stay below about scale, so a finite 2*scale
         # also rules out overflow in the evaluation.
         if math.isfinite(2.0 * scale):
-            fc = tuple(float(c) for c in reversed(coeffs))
-            guard = 4 * len(coeffs) * _UNIT_ROUNDOFF * scale
+            return (tuple(map(float, reversed(coeffs))),
+                    4 * len(coeffs) * _UNIT_ROUNDOFF * scale)
+    return (), math.inf  # |0.0| > inf never holds: every sign goes exact
 
-    def sign(x: float) -> int:
-        val = 0.0
-        for c in fc:
-            val = val * x + c
-        if abs(val) > guard:
-            return 1 if val > 0 else -1
-        return _dyadic_sign(coeffs, x)
 
-    return sign
+def _sign(coeffs: tuple[int, ...], fc: tuple[float, ...], guard: float,
+          x: float) -> int:
+    """Proven sign of an integer polynomial at x, for (fc, guard) given by
+    `_float_form` on an interval holding x."""
+    val = 0.0
+    for c in fc:
+        val = val * x + c
+    if abs(val) > guard:
+        return 1 if val > 0 else -1
+    return _dyadic_sign(coeffs, x)
 
 
 def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
@@ -242,26 +246,33 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
     """Bisection on a bracket with poly(lo) < 0 <= poly(hi).
 
     The right end may itself be the root (closed bracket).  Every sign is
-    proven: a float Horner value is trusted only beyond Higham's rounding
-    bound for the whole bracket (see `_sign_on`), and computed exactly
-    otherwise, so an endpoint root is detected, never straddled.
+    proven: the guard of Higham's rounding bound is computed once for the
+    whole bracket (see `_float_form`), each midpoint runs the guarded
+    Horner test inline, and a value inside the guard band is computed
+    exactly, so an endpoint root is detected, never straddled.  Ends that
+    are not finite, or with lo > hi, are rejected before any sign.
 
     An analytic left end such as a rounded square root can land above the
     largest root at large m, so a left end whose sign is not negative
     steps down one float at a time, at most _LEFT_END_STEPS times; a left
     end that already is costs no sign beyond the bisection's own.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BoundsError(f"bracket [{lo}, {hi}] has an end that is not finite")
+    if lo > hi:
+        raise BoundsError(f"bracket [{lo}, {hi}] is reversed")
+    ic = poly.as_integer()
     floor = lo  # the sign bound covers every left end the steps can reach
     for _ in range(_LEFT_END_STEPS):
         floor = math.nextafter(floor, -math.inf)
-    sign = _sign_on(poly.as_integer(), floor, hi)
-    s_lo = sign(lo)
+    fc, guard = _float_form(ic, floor, hi)
+    s_lo = _sign(ic, fc, guard, lo)
     for _ in range(_LEFT_END_STEPS):
         if s_lo < 0:
             break
         lo = math.nextafter(lo, -math.inf)
-        s_lo = sign(lo)
-    s_hi = sign(hi)
+        s_lo = _sign(ic, fc, guard, lo)
+    s_hi = _sign(ic, fc, guard, hi)
     if s_hi == 0:
         return RootBracket(hi, hi, poly, width)
     if not (s_lo < 0 < s_hi):
@@ -274,13 +285,21 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent floats
-        s = sign(mid)
-        if s == 0:
-            return RootBracket(mid, mid, poly, width)
-        if s < 0:
+        val = 0.0
+        for c in fc:
+            val = val * mid + c
+        if val > guard:
+            hi = mid
+        elif val < -guard:
             lo = mid
         else:
-            hi = mid
+            s = _dyadic_sign(ic, mid)
+            if s == 0:
+                return RootBracket(mid, mid, poly, width)
+            if s < 0:
+                lo = mid
+            else:
+                hi = mid
     return RootBracket(lo, hi, poly, width)
 
 

@@ -39,7 +39,6 @@ import math
 import os
 import time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain, islice, repeat
@@ -527,6 +526,14 @@ def _chunks(items: list, size: int) -> list[list]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
+def _start_pool(jobs: int):
+    """A process pool of `jobs` workers.  `concurrent.futures` is imported
+    here, so that importing specbound, or a jobs=1 run, never loads
+    `multiprocessing`."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
 def _levels_up_to(m: int, growth: _Growth, jobs: int = 1
                   ) -> list[dict[bytes, Graph]]:
     """Levels 0..m of the growth, built on the ones already stored."""
@@ -538,8 +545,7 @@ def _levels_up_to(m: int, growth: _Growth, jobs: int = 1
             parents = list(levels[-1].items())
             if jobs > 1 and len(parents) >= 4 * jobs:
                 if pool is None:
-                    pool = stack.enter_context(
-                        ProcessPoolExecutor(max_workers=jobs))
+                    pool = stack.enter_context(_start_pool(jobs))
                 size = max(1, len(parents) // (4 * jobs))
                 blocks = list(pool.map(_grow, repeat(growth),
                                        _chunks(parents, size)))

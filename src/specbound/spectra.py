@@ -109,7 +109,10 @@ class IntPoly:
     coeffs: tuple
 
     def __post_init__(self):
-        c = list(self.coeffs) or [0]
+        c = self.coeffs
+        if type(c) is tuple and c and c[-1] != 0:
+            return  # already normal: the families' per-m set-up
+        c = list(c) or [0]
         while len(c) > 1 and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -161,7 +164,10 @@ class IntPoly:
         return IntPoly(c[k:]), k
 
     def as_integer(self) -> tuple[int, ...]:
-        """Coefficients scaled by a positive common denominator."""
+        """Coefficients scaled by a positive common denominator; an int
+        polynomial's own coefficients."""
+        if set(map(type, self.coeffs)) == {int}:
+            return self.coeffs
         den = math.lcm(*(c.denominator for c in self.coeffs))
         return tuple(int(c * den) for c in self.coeffs)
 

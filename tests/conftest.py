@@ -62,14 +62,14 @@ def fresh_levels(monkeypatch):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    """The keyword arguments of every enumeration pool started during the
-    test; the pools themselves are real."""
-    real = certify.ProcessPoolExecutor
+    """The worker count of every enumeration pool started during the test;
+    the pools themselves are real."""
+    real = certify._start_pool
     starts = []
 
-    def counting_pool(*args, **kwargs):
-        starts.append(kwargs)
-        return real(*args, **kwargs)
+    def counting_pool(jobs):
+        starts.append(jobs)
+        return real(jobs)
 
-    monkeypatch.setattr(certify, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(certify, "_start_pool", counting_pool)
     return starts

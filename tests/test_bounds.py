@@ -17,7 +17,8 @@ from specbound.bounds import (
     PENDANT_SITES,
     RootBracket,
     _dyadic_sign,
-    _sign_on,
+    _float_form,
+    _sign,
     beta,
     beta_bracket,
     bisect_largest_root,
@@ -79,6 +80,30 @@ class TestPolyFamilies:
             assert f_poly(a, m).coeffs == tuple(
                 Fraction(c) for c in sk_quintic(a, b).coeffs
             )
+
+    def test_int_polynomial_is_its_own_integer_form(self):
+        for p in (z_poly(9), l_poly(101), IntPoly((-1, 0, 1))):
+            assert p.as_integer() is p.coeffs
+
+    def test_fraction_polynomial_scales_to_ints(self):
+        assert f_poly(3, 10).as_integer() == (-8, 16, 0, -10, 0, 1)
+        # (m-1)/a = 9/2: x^5 - 10x^3 + 31/2 x - 15/2, times 2
+        assert f_poly(4, 10).as_integer() == (-15, 31, 0, -20, 0, 2)
+        for p in (f_poly(3, 10), f_poly(4, 10)):
+            assert all(type(c) is int for c in p.as_integer())
+
+    def test_normal_form(self):
+        t = (3, 0, -2)
+        assert IntPoly(t).coeffs is t
+        assert IntPoly([1, 2, 0]).coeffs == (1, 2)
+        assert type(IntPoly([1, 2, 0]).coeffs) is tuple
+        assert IntPoly((1, 0, 0)).coeffs == (1,)
+        assert IntPoly((0, 0)).coeffs == (0,)
+        assert IntPoly(()).coeffs == (0,)
+        assert IntPoly([]).coeffs == (0,)
+        assert IntPoly((Fraction(1, 2), Fraction(0))).coeffs == (
+            Fraction(1, 2),)
+        assert IntPoly([0, 1]) == IntPoly((0, 1))
 
     def test_intpoly_arith(self):
         p = IntPoly((1, 2)) * IntPoly((3, 4))  # (1+2x)(3+4x) = 3+10x+8x^2
@@ -164,6 +189,34 @@ class TestBisection:
     def test_bad_bracket_rejected(self):
         with pytest.raises(BoundsError):
             bisect_largest_root(z_poly(9), 10.0, 11.0)
+
+    def test_reversed_bracket_rejected(self, exact_calls):
+        with pytest.raises(BoundsError, match="reversed"):
+            bisect_largest_root(IntPoly((1, -1)), 2.0, 0.0)
+        # a constant that is no double: every sign would be exact, and the
+        # ends are rejected before any
+        with pytest.raises(BoundsError, match="reversed"):
+            bisect_largest_root(IntPoly((-10 ** 400, 0, 1)), 1e201, 1.0)
+        assert not exact_calls
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0), (0.0, math.nan),
+        (math.inf, math.inf),
+    ])
+    def test_non_finite_ends_rejected(self, exact_calls, lo, hi):
+        for p in (IntPoly((-1, 1)), IntPoly((-10 ** 400, 0, 1))):
+            with pytest.raises(BoundsError, match="not finite"):
+                bisect_largest_root(p, lo, hi)
+        assert not exact_calls
+
+    def test_fraction_polynomial_bracket(self):
+        p = f_poly(4, 10)  # sign change on [sqrt(8), sqrt(10)]
+        lo, hi = math.sqrt(8), math.sqrt(10)
+        rb = bisect_largest_root(p, lo, hi)
+        assert (rb.lo, rb.hi) == exact_bisect(
+            IntPoly(p.as_integer()), lo, hi)
+        assert rb.lo < rb.hi
+        assert rb.verify_signs_exact()
 
     def test_exact_endpoint_root(self):
         rb = bisect_largest_root(l_poly(7), 1.9, 2.0)
@@ -280,11 +333,11 @@ class TestCertifiedSigns:
     def test_left_end_farther_from_zero(self, poly, root, lo, hi):
         """|lo| > |hi|: the guard must bound |x| by |lo|, not by |hi|."""
         ic = poly.as_integer()
-        sign = _sign_on(ic, lo, hi)
+        fc, guard = _float_form(ic, lo, hi)
         for k in range(-2000, 2001):
             x = root + k * 1e-4
             if lo <= x <= hi:
-                assert sign(x) == _dyadic_sign(ic, x), x
+                assert _sign(ic, fc, guard, x) == _dyadic_sign(ic, x), x
         rb = bisect_largest_root(poly, lo, hi)
         assert (rb.lo, rb.hi) == exact_bisect(poly, lo, hi)
         assert rb.lo <= root <= rb.hi
@@ -299,14 +352,14 @@ class TestCertifiedSigns:
             for bracket, poly, lo, hi in start_brackets(m):
                 rb = bracket(m)
                 ic = poly.as_integer()
-                sign = _sign_on(ic, lo, hi)
+                fc, guard = _float_form(ic, lo, hi)
                 for end in (rb.lo, rb.hi):
                     for way in (-math.inf, math.inf):
                         x = end
                         for _ in range(64):
                             x = math.nextafter(x, way)
                             before = len(exact_calls)
-                            s = sign(x)
+                            s = _sign(ic, fc, guard, x)
                             if len(exact_calls) == before:
                                 float_decided += 1
                                 assert s == _dyadic_sign(ic, x), (m, x)

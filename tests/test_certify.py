@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
+import specbound
 from specbound import bounds, certify, spectra
 from specbound.certify import (
     BudgetError,
@@ -216,6 +220,19 @@ class TestEnumeration:
             levels = built["odd", certify._prune_key(filt)]
             assert [len(level) for level in levels[:k]] == [0] * k
             assert levels[k] == [canonical_form(cycle(k))]
+
+    def test_import_loads_no_process_pool(self):
+        code = ("import sys, specbound\n"
+                "print(sorted({'concurrent.futures', 'multiprocessing'}"
+                " & set(sys.modules)))\n")
+        src = os.path.dirname(os.path.dirname(specbound.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True,
+                             timeout=60, env=env)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, fresh_levels, pool_starts, jobs):
