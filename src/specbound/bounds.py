@@ -178,7 +178,6 @@ class RootBracket:
     lo: float
     hi: float
     poly: IntPoly
-    width_target: float
 
     @property
     def value(self) -> float:
@@ -241,9 +240,9 @@ def _sign(coeffs: tuple[int, ...], fc: tuple[float, ...], guard: float,
     return _dyadic_sign(coeffs, x)
 
 
-def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
-                        width: float = BISECT_WIDTH) -> RootBracket:
-    """Bisection on a bracket with poly(lo) < 0 <= poly(hi).
+def bisect_largest_root(poly: IntPoly, lo: float, hi: float) -> RootBracket:
+    """Bisection on a bracket with poly(lo) < 0 <= poly(hi), down to a
+    width of BISECT_WIDTH or to adjacent floats.
 
     The right end may itself be the root (closed bracket).  Every sign is
     proven: the guard of Higham's rounding bound is computed once for the
@@ -274,11 +273,12 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
         s_lo = _sign(ic, fc, guard, lo)
     s_hi = _sign(ic, fc, guard, hi)
     if s_hi == 0:
-        return RootBracket(hi, hi, poly, width)
+        return RootBracket(hi, hi, poly)
     if not (s_lo < 0 < s_hi):
         raise BoundsError(
             f"bracket [{lo}, {hi}] has signs ({s_lo}, {s_hi}); expected (-, +)"
         )
+    width = BISECT_WIDTH
     for _ in range(200):
         if hi - lo <= width:
             break
@@ -295,12 +295,12 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float,
         else:
             s = _dyadic_sign(ic, mid)
             if s == 0:
-                return RootBracket(mid, mid, poly, width)
+                return RootBracket(mid, mid, poly)
             if s < 0:
                 lo = mid
             else:
                 hi = mid
-    return RootBracket(lo, hi, poly, width)
+    return RootBracket(lo, hi, poly)
 
 
 @lru_cache(maxsize=None)

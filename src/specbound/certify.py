@@ -7,29 +7,31 @@ canonical parent, the graph left by deleting its canonical last piece, so each
 isomorphism class is generated once and the parents of a level are
 independent shards.  The edge-indexed enumeration adds one edge at a time (no
 isolated vertices ever appear); hereditary class constraints (triangle-free,
-C5-free, bounded odd girth) prune during growth.  A non-bipartite class is
-grown on its own, from the odd cycles its pruning allows, with the edges
-whose deletion leaves an odd cycle as the pieces, so no bipartite class is
-ever built.  A connected class is grown on its own too, from K2 (or the odd
-cycles, or K1 for the vertex-indexed levels), with the pieces whose deletion
-leaves it connected.  Each piece test reads the child's neighbour bitmasks
-and answers with at most one breadth-first search per component,
-`graphs._search`.  Mantel and Erdos checks use the vertex-indexed
-enumeration, which adds one vertex at a time.  Both take the orbit step of
-the construction with the automorphisms the labelling search meets: a
-parent is augmented once per orbit of its automorphism group, and a tied
-piece in the new piece's orbit is never deleted to test the child (McKay &
-Piperno, "Practical graph isomorphism II", J. Symb. Comput. 2014, for
-automorphisms read off the search).  All their levels live in one store,
-`_LEVELS`, built by one loop, `_levels_up_to`.
+C5-free, bounded odd girth) prune during growth, which is exact for a
+hereditary class.  A non-bipartite class is grown on its own, from the odd
+cycles its pruning allows, with the edges whose deletion leaves an odd
+cycle as the pieces, so no bipartite class is ever built.  A connected class
+is grown on its own too, from K2 (or the odd cycles, or K1 for the
+vertex-indexed levels), with the pieces whose deletion leaves it connected.
+So every growth builds exactly its class, and no filter runs after it: a
+certifier enumerates, computes spectra and gives its verdict.  Each piece
+test reads the child's neighbour bitmasks and answers with at most one
+breadth-first search per component, `graphs._search`.  Mantel and Erdos
+checks use the vertex-indexed enumeration, which adds one vertex at a
+time.  Both take the orbit step of the construction with the automorphisms
+the labelling search meets: a parent is augmented once per orbit of its
+automorphism group, and a tied piece in the new piece's orbit is never
+deleted to test the child (McKay & Piperno, "Practical graph isomorphism
+II", J. Symb. Comput. 2014, for automorphisms read off the search).  All
+their levels live in one store, `_LEVELS`, built by one loop,
+`_levels_up_to`.
 
 The extremal graphs of the non-bipartite, Mantel and Erdos certifiers are
 connected, so those certifiers build only the connected levels and count
 the whole class as multisets of connected classes, by the Euler transform
 (Harary & Palmer, "Graphical Enumeration", 1973).  The tests compare every
 growth with a reference generator that deduplicates every augmentation by
-canonical form, or with the full levels filtered by bipartiteness and
-connectivity.
+canonical form, or with the full levels filtered by `ClassFilter.admits`.
 """
 
 from __future__ import annotations
@@ -83,9 +85,12 @@ class BudgetError(GraphError):
 
 @dataclass(frozen=True)
 class ClassFilter:
-    """Composable graph-class predicate.  The hereditary flags also prune
-    during generation, `non_bipartite` selects the growth from odd cycles,
-    and `connected` the growth of connected classes only."""
+    """Names a graph class: `describe` gives the reports' class string,
+    the hereditary flags pick the pruning of the growth, `non_bipartite`
+    the growth from odd cycles, and `connected` the growth of connected
+    classes only.  That growth is the class, so `enumerate_graphs` never
+    asks `admits`; it is the reference predicate the tests compare the
+    growths against."""
 
     connected: bool = False
     triangle_free: bool = False
@@ -384,8 +389,8 @@ def _keeps_connected_odd_cycle(masks: Sequence[int], e: Edge) -> bool:
     so it passes both."""
     if _pendant(masks, e):
         return True
-    comp, odd = _search(_without_edge(masks, e), e[0])
-    return odd and comp == (1 << len(masks)) - 1
+    comp, inner = _search(_without_edge(masks, e), e[0])
+    return inner > 0 and comp == (1 << len(masks)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +580,9 @@ def edge_budget(filt: ClassFilter) -> int:
 
 def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
                      jobs: int = 1) -> Iterator[Graph]:
-    """All isomorphism classes with m edges and no isolated vertices that
-    satisfy the filter, in canonical-form order."""
+    """All isomorphism classes with m edges and no isolated vertices in
+    the filter's class, in canonical-form order: the stored level of the
+    growth the filter picks, as it stands."""
     if m < 1:
         raise GraphError("enumeration needs m >= 1")
     if jobs < 1:
@@ -588,9 +594,7 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
     kind = "odd" if filt.non_bipartite else "edge"
     if filt.connected:
         kind = "odd-conn" if filt.non_bipartite else "conn"
-    for g in _levels_up_to(m, (kind, _prune_key(filt)), jobs)[m].values():
-        if filt.admits(g):
-            yield g
+    yield from _levels_up_to(m, (kind, _prune_key(filt)), jobs)[m].values()
 
 
 def graphs_on_vertices(n: int, triangle_free: bool = True,

@@ -150,14 +150,6 @@ def cmd_construct(args) -> int:
     return 0
 
 
-_GALLERY_BUILDERS = {
-    "C7": lambda: G.cycle(7),
-    "C9": lambda: G.cycle(9),
-    **{p.value: (lambda p=p: G.pattern(p)) for p in G.PatternId
-       if p.value in G.GALLERY_SPECTRA},
-}
-
-
 def cmd_tables(args) -> int:
     ok = True
     for title, names in (
@@ -167,7 +159,7 @@ def cmd_tables(args) -> int:
         print(title)
         for name in names:
             expected = G.GALLERY_SPECTRA[name]
-            got = spectra.eigenvalues(_GALLERY_BUILDERS[name]()).values
+            got = spectra.eigenvalues(parse_construction([name])).values
             bad = [
                 i for i, (e, v) in enumerate(zip(expected, got))
                 if abs(e - v) > 1e-3

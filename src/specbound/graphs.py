@@ -2,9 +2,10 @@
 
 Graphs are immutable values (vertex count plus a sorted edge tuple) with
 cached adjacency bitmasks, so every operation here is safe to call from
-multiple threads and results can be shared freely.  Connectivity and
-bipartiteness are both read off one breadth-first search on those bitmasks,
-`_search`, which the enumerators' piece tests in `certify` share.
+multiple threads and results can be shared freely.  Connectivity,
+bipartiteness and odd girth are all read off one breadth-first search on
+those bitmasks, `_search`, which the enumerators' piece tests in `certify`
+share.
 """
 
 from __future__ import annotations
@@ -348,15 +349,16 @@ GALLERY_SPECTRA: dict[str, tuple[float, ...]] = {
 # ---------------------------------------------------------------------------
 
 
-def _search(masks: Sequence[int], s: int) -> tuple[int, bool]:
-    """(component of s as a vertex mask, whether it holds an odd cycle) in
-    the graph with these neighbour bitmasks, by one breadth-first search:
-    search edges join adjacent layers, so an edge inside one layer closes
-    an odd cycle, and a component with no such edge is two-coloured by the
-    parity of its layers.  Every connectivity and bipartiteness test is
-    built on it."""
+def _search(masks: Sequence[int], s: int) -> tuple[int, int]:
+    """(component of s as a vertex mask, the layer of the first edge that
+    lies inside a layer, 0 when there is none) in the graph with these
+    neighbour bitmasks, by one breadth-first search from layer 0 = {s}.
+    Search edges join adjacent layers, so an edge inside layer d closes an
+    odd walk of length 2d + 1 through s, and a component with no such edge
+    is two-coloured by the parity of its layers.  Every connectivity,
+    bipartiteness and odd girth test is built on it."""
     comp = frontier = 1 << s
-    odd = False
+    depth = inner = 0
     while frontier:
         nxt = 0
         f = frontier
@@ -364,21 +366,22 @@ def _search(masks: Sequence[int], s: int) -> tuple[int, bool]:
             v = (f & -f).bit_length() - 1
             f &= f - 1
             mv = masks[v]
-            if mv & frontier:
-                odd = True
+            if mv & frontier and not inner:
+                inner = depth
             nxt |= mv
         frontier = nxt & ~comp
         comp |= frontier
-    return comp, odd
+        depth += 1
+    return comp, inner
 
 
-def _components(masks: Sequence[int]) -> Iterator[tuple[int, bool]]:
+def _components(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     """`_search` of every component, in order of their lowest vertices."""
     rest = (1 << len(masks)) - 1
     while rest:
-        comp, odd = _search(masks, (rest & -rest).bit_length() - 1)
+        comp, inner = _search(masks, (rest & -rest).bit_length() - 1)
         rest ^= comp
-        yield comp, odd
+        yield comp, inner
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
@@ -395,30 +398,13 @@ def is_connected(g: Graph) -> bool:
 def odd_girth(g: Graph) -> float:
     """Length of the shortest odd cycle; math.inf iff bipartite.
 
-    BFS from every vertex: any edge joining two vertices at equal BFS depth
-    closes an odd walk, and the minimum such closure over all roots is the
-    shortest odd cycle.
+    `_search` from a root meets its first edge inside a layer at layer d
+    exactly when the shortest odd closed walk through the root has length
+    2d + 1.  A shortest odd closed walk is an odd cycle, so the minimum over
+    all roots is the shortest odd cycle.
     """
-    best = math.inf
-    for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                mv = g.mask(v)
-                while mv:
-                    u = (mv & -mv).bit_length() - 1
-                    mv &= mv - 1
-                    if dist[u] < 0:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            queue = nxt
-        for u, v in g.edges:
-            if dist[u] >= 0 and dist[u] == dist[v]:
-                best = min(best, 2 * dist[u] + 1)
-    return best
+    layers = (_search(g._masks, r)[1] for r in range(g.n))
+    return min((2 * d + 1 for d in layers if d), default=math.inf)
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -428,7 +414,7 @@ def is_bipartite(g: Graph) -> bool:
 
 def _two_colourable(masks: Sequence[int]) -> bool:
     """`is_bipartite` on neighbour bitmasks, one per vertex."""
-    return not any(odd for _, odd in _components(masks))
+    return not any(inner for _, inner in _components(masks))
 
 
 def triangle_count(g: Graph) -> int:

@@ -254,16 +254,15 @@ def triangle_count_lemma(s: Spectrum, m: int) -> float:
     return tail / 6.0 + (l1 * l1 - m) * l1 / 3.0
 
 
-def verify_interlacing(host: Spectrum, sub: Spectrum,
-                       slack: float | None = None) -> bool:
+def verify_interlacing(host: Spectrum, sub: Spectrum) -> bool:
     """Cauchy interlacing for a principal submatrix spectrum:
-    lambda_{n-s+i}(host) <= lambda_i(sub) <= lambda_i(host) for i = 1..s."""
+    lambda_{n-s+i}(host) <= lambda_i(sub) <= lambda_i(host) for i = 1..s,
+    up to twice the larger residual bound of the two spectra."""
     n, s = host.n, sub.n
     if s > n:
         raise ValueError("sub spectrum larger than host")
-    if slack is None:
-        slack = 2.0 * max(host.abs_residual_bound(),
-                          sub.abs_residual_bound(), 1e-12)
+    slack = 2.0 * max(host.abs_residual_bound(), sub.abs_residual_bound(),
+                      1e-12)
     for i in range(s):
         if sub.values[i] > host.values[i] + slack:
             return False

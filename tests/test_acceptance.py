@@ -19,10 +19,8 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from itertools import combinations
 
 import numpy as np
-import pytest
 
 from specbound import bounds, certify, spectra
 from specbound.bounds import IntPoly, beta, beta_bracket, gamma, gamma_bracket
@@ -33,7 +31,6 @@ from specbound.graphs import (
     canonical_form,
     canonical_graph,
     cycle,
-    disjoint_union,
     find_induced,
     from_graph6,
     is_triangle_free,

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specbound import bounds, spectra
+from specbound import bounds
 from specbound.bounds import (
     BISECT_WIDTH,
     BoundsError,
     E_DISPLAYED_CASE,
     IntPoly,
     PENDANT_SITES,
-    RootBracket,
     _dyadic_sign,
     _float_form,
     _sign,
@@ -225,7 +224,7 @@ class TestBisection:
 
     def test_enclosure_width(self):
         rb = beta_bracket(101)
-        assert rb.hi - rb.lo <= rb.width_target
+        assert rb.hi - rb.lo <= BISECT_WIDTH
 
     def test_charpoly_largest_root_matches_solver(self, rng):
         checked = 0

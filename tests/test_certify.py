@@ -4,13 +4,13 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
 
 import specbound
-from specbound import bounds, certify, spectra
+from specbound import certify, spectra
 from specbound.certify import (
     BudgetError,
     CertificationReport,
@@ -99,12 +99,30 @@ class TestEnumeration:
             )
             assert pruned == filtered
 
-    def test_c3c5_free_filter_counts(self):
-        f = ClassFilter(triangle_free=True, c5_free=True)
-        for m in range(1, 7):
-            pruned = sum(1 for _ in enumerate_graphs(m, f))
-            filtered = sum(1 for g in enumerate_graphs(m) if f.admits(g))
-            assert pruned == filtered
+    def test_enumeration_never_asks_admits(self, fresh_levels, monkeypatch):
+        def admits(filt, g):
+            raise AssertionError("enumerate_graphs asked ClassFilter.admits")
+
+        monkeypatch.setattr(ClassFilter, "admits", admits)
+        for f in (ClassFilter(triangle_free=True),  # edge
+                  ClassFilter(non_bipartite=True),  # odd
+                  ClassFilter(connected=True),  # conn
+                  ClassFilter(connected=True, non_bipartite=True)):  # odd-conn
+            assert list(enumerate_graphs(6, f))
+
+    @pytest.mark.parametrize(
+        "f", [ClassFilter(*flags, odd_girth_min=g)
+              for flags in product((False, True), repeat=4)
+              for g in (None, 5, 7, 9, 11)],
+        ids=lambda f: f.describe().replace(" ", "+"))
+    def test_growth_is_the_class(self, f):
+        # no filter runs after the growth, so the growth alone must give
+        # the unpruned level filtered by the class predicate, in order
+        for m in range(1, 8):
+            grown = [canonical_form(g) for g in enumerate_graphs(m, f)]
+            admitted = [canonical_form(g) for g in enumerate_graphs(m)
+                        if f.admits(g)]
+            assert grown == admitted, m
 
     def test_odd_girth_lane_matches_flags(self):
         a = ClassFilter(triangle_free=True, c5_free=True)

@@ -4,6 +4,7 @@ import time
 from itertools import combinations, permutations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -301,6 +302,41 @@ class TestPredicates:
                                     rng.choice((0.0, 0.3, 0.6)))
                 g = disjoint_union(g, part)
             assert is_bipartite(g) == (odd_girth(g) == math.inf)
+
+    def test_odd_girth_matches_walk_traces(self):
+        # a shortest odd closed walk is an odd cycle, so the odd girth is
+        # the least odd k <= n with trace(A^k) > 0
+        def trace_girth(g):
+            # walk counts stay below max degree ** n, so int64 is exact
+            assert max(g.degrees(), default=0) ** g.n < 2 ** 63
+            a = np.zeros((g.n, g.n), dtype=np.int64)
+            for u, v in g.edges:
+                a[u, v] = a[v, u] = 1
+            power = a
+            for k in range(1, g.n + 1):
+                if k % 2 and np.trace(power) > 0:
+                    return k
+                power = power @ a
+            return math.inf
+
+        rng = random.Random(59)
+        corpus = seeded_graphs(61, 150, 12)
+        for _ in range(150):
+            # up to three components, with isolated vertices among them
+            g = Graph(0, ())
+            for _ in range(rng.randint(1, 3)):
+                g = disjoint_union(g, random_graph(
+                    rng, rng.randint(1, 4), rng.choice((0.0, 0.4, 0.8))))
+            corpus.append(g)
+        corpus += [cycle(n) for n in range(3, 32)]
+        corpus += [s_odd(2, 5, k) for k in range(1, 9)]
+        girths = set()
+        for g in corpus:
+            girths.add(odd_girth(g))
+            assert odd_girth(g) == trace_girth(g), (g.n, g.edges)
+        assert {3, 5, 7, 9, 19, 31, math.inf} <= girths
+        assert any(len(connected_components(g)) > 2 and g.m
+                   and min(map(g.degree, range(g.n))) == 0 for g in corpus)
 
     def test_components_match_networkx(self):
         # `_canonical_labelling` stable-sorts the components, so the pinned

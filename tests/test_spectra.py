@@ -35,7 +35,7 @@ from specbound.spectra import (
     verify_interlacing,
 )
 
-from conftest import graphs_st, random_graph, seeded_graphs
+from conftest import graphs_st, random_graph
 
 
 def numpy_spectrum(g: Graph) -> tuple[float, ...]:

@@ -1,15 +1,17 @@
-"""Every name a module of the package imports at module level is used in
-that module.  No linter is a dependency, so the check reads the syntax trees
-with `ast`.  `__init__.py` is left out: its imports are the public
-re-exports."""
+"""Every name a module of the package or of the tests imports at module
+level is used in that module.  No linter is a dependency, so the check reads
+the syntax trees with `ast`.  The package's `__init__.py` is left out: its
+imports are the public re-exports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "specbound"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted(p for p in (ROOT / "src" / "specbound").glob("*.py")
+                 if p.name != "__init__.py")
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
