@@ -12,10 +12,14 @@ characteristic polynomial compares and factors against them directly.
 
 Characteristic polynomials are exact, because the factorization identities
 downstream must hold with zero tolerance.  The Faddeev-LeVerrier recurrence
-runs in int64 numpy arrays modulo a few fixed primes, all of them at once.
-Every coefficient is bounded by (1 + max degree)^n, so enough primes are
-taken that their product exceeds twice that bound, and the Chinese
-remainder theorem then recovers each coefficient exactly.
+runs modulo one prime p < 2**46 at a time in float64 arrays, so BLAS forms
+the products.  Entries are reduced lazily into [-p, 2p), and a row of A
+holds at most 31 ones, so every sum BLAS forms is an integer below
+93 p < 2**53 and exact.  Every coefficient is bounded by
+max_k C(n, k) (2m/n)^(k/2) (Maclaurin's inequality and sum lambda^2 = 2m),
+so enough primes are taken that their product exceeds twice that bound,
+one or two at n <= 32, and the Chinese remainder theorem then recovers
+each coefficient exactly.
 """
 
 from __future__ import annotations
@@ -172,11 +176,21 @@ class IntPoly:
         return tuple(int(c * den) for c in self.coeffs)
 
 
-# Primes below 2**57, so a 0/1 matrix times residues below p sums to at
-# most CHARPOLY_MAX_N * (p - 1) < 2**62 and int64 never overflows; each
-# exceeds CHARPOLY_MAX_N, so every k <= n is invertible mod p.  Their product
-# exceeds 2 * 32**32, the coefficient bound at n = 32 and max degree 31.
-_PRIMES = (144115188075855859, 144115188075855847, 144115188075855823)
+# The two largest primes below 2**46.  Entries of the lazily reduced matrix
+# lie in [-p, 3p), and a row of A holds at most CHARPOLY_MAX_N - 1 ones, so
+# every product entry and every partial sum of it is an integer of absolute
+# value below 3 * (CHARPOLY_MAX_N - 1) * p < 2**53, exact in float64; each
+# prime exceeds CHARPOLY_MAX_N, so every k <= n is invertible mod p.  Their
+# product exceeds 2 * _coefficient_bound(32, 496), the bound for K_32 and
+# the largest at n <= CHARPOLY_MAX_N.
+_PRIMES = (70368744177643, 70368744177607)
+
+
+def _coefficient_bound(n: int, m: int) -> int:
+    """An integer bound on every |c_k| of a graph with n >= 1 vertices and
+    m edges: the largest C(n, k) (2m/n)^(k/2) over k, rounded down."""
+    return max(math.isqrt(math.comb(n, k) ** 2 * (2 * m) ** k // n ** k)
+               for k in range(n + 1))
 
 
 def _moduli(bound: int) -> tuple[int, ...]:
@@ -205,31 +219,48 @@ def char_poly(g: Graph) -> IntPoly:
     """Exact det(xI - A) by Faddeev-LeVerrier modulo primes.
 
     M_1 = A, M_k = A (M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k) / k, run
-    for all primes in one (r, n, n) int64 array; division by k is
-    multiplication by its inverse mod p.  The coefficients are those of
-    prod (x - lambda_i) with |lambda_i| <= max degree D, so |c_k| <=
-    (1 + D)^n, and residues modulo primes whose product exceeds twice that
-    determine each c_k by the Chinese remainder theorem.
+    one prime at a time on float64 arrays, so BLAS forms the products;
+    division by k is multiplication by its inverse mod p, in Python ints.
+
+    Exactness.  Each step reduces x = A (M + cI) lazily, M = x - floor(x/p) p
+    with x/p computed as x * (1/p): the floor is off by at most one, so M
+    lies in [-p, 2p) and M + cI, with c in [0, p), in [-p, 3p).  A row of A
+    has at most n - 1 <= 31 ones, so every entry of x and every partial sum
+    of it, in any summation order, is an integer below 93 p < 2**53, and the
+    trace of M is below 64 p: float64 holds them all exactly for p < 2**46.
+
+    Prime count.  c_{n-k} = (-1)^k e_k(lambda), and sum lambda_i^2 = 2m, so
+        |e_k(lambda)| <= e_k(|lambda|)                  (triangle inequality)
+                      <= C(n, k) (sum |lambda_i| / n)^k        (Maclaurin)
+                      <= C(n, k) (2m / n)^(k/2)               (power means).
+    Residues modulo primes whose product exceeds twice the largest of these
+    determine each coefficient by the Chinese remainder theorem.
     """
     n = g.n
     if n > CHARPOLY_MAX_N:
         raise SizeLimitError(f"char_poly limited to n <= {CHARPOLY_MAX_N}")
     if n == 0:
         return IntPoly((1,))
-    primes = _moduli((1 + max(g.degree(v) for v in range(n))) ** n)
-    mods = np.array(primes, dtype=np.int64)[:, None, None]
-    a = adjacency_matrix(g).astype(np.int64)
-    diag = np.arange(n)
-    mk = np.repeat(a[None], len(primes), axis=0)  # M_1 = A
-    residues = [[1] * len(primes)]  # c_n, c_{n-1}, ..., c_0
-    for k in range(1, n + 1):
-        if k > 1:
-            mk[:, diag, diag] += np.array(residues[-1], dtype=np.int64)[:, None]
-            mk = a @ (mk % mods) % mods
-        tr = mk.trace(axis1=1, axis2=2)
-        residues.append([-int(t) * pow(k, -1, p) % p
-                         for t, p in zip(tr, primes)])
-    return IntPoly(tuple(_crt(residues[::-1], primes)))
+    primes = _moduli(_coefficient_bound(n, g.m))
+    a = adjacency_matrix(g)
+    x = np.empty_like(a)
+    residues = []  # per prime: c_n, c_{n-1}, ..., c_0
+    for p in primes:
+        inv = 1.0 / p
+        mk = a.copy()  # M_1 = A
+        diag = mk.reshape(-1)[::n + 1]  # a view of mk's diagonal
+        cs = [1]
+        for k in range(1, n + 1):
+            if k > 1:
+                diag += cs[-1]
+                np.matmul(a, mk, out=x)
+                np.multiply(x, inv, out=mk)
+                np.floor(mk, out=mk)
+                mk *= p
+                np.subtract(x, mk, out=mk)
+            cs.append(-int(diag.sum()) * pow(k, -1, p) % p)
+        residues.append(cs)
+    return IntPoly(tuple(_crt(list(zip(*residues))[::-1], primes)))
 
 
 # ---------------------------------------------------------------------------

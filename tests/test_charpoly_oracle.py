@@ -18,7 +18,7 @@ import sympy
 
 import specbound
 from specbound import spectra
-from specbound.graphs import Graph, complete, complete_bipartite
+from specbound.graphs import Graph, complete, complete_bipartite, cycle
 from specbound.spectra import CHARPOLY_MAX_N, char_poly
 
 from conftest import random_graph
@@ -109,25 +109,74 @@ class TestModuli:
         assert len(set(spectra._PRIMES)) == len(spectra._PRIMES)
         assert all(p > CHARPOLY_MAX_N for p in spectra._PRIMES)
 
-    def test_int64_products_cannot_overflow(self):
-        assert all(CHARPOLY_MAX_N * p < 2 ** 63 for p in spectra._PRIMES)
+    def test_float_products_stay_exact(self):
+        # lazily reduced entries lie in [-p, 3p) after the shift, and a row
+        # of A has at most CHARPOLY_MAX_N - 1 ones; the trace sums entries
+        # in [-p, 2p) over at most CHARPOLY_MAX_N rows
+        for p in spectra._PRIMES:
+            assert 3 * (CHARPOLY_MAX_N - 1) * p < 2 ** 53
+            assert 2 * CHARPOLY_MAX_N * p < 2 ** 53
 
     def test_product_covers_the_largest_coefficients(self):
-        # |c_k| <= (1 + max degree)^n, largest at n = 32, max degree 31
-        bound = (1 + (CHARPOLY_MAX_N - 1)) ** CHARPOLY_MAX_N
+        # K_32 has the largest bound at n <= 32: 2m/n = n - 1 is the most
+        bound = spectra._coefficient_bound(CHARPOLY_MAX_N, 496)
         assert math.prod(spectra._PRIMES) > 2 * bound
 
     def test_fewest_primes(self):
         assert spectra._moduli(1) == spectra._PRIMES[:1]
-        bound = (1 + (CHARPOLY_MAX_N - 1)) ** CHARPOLY_MAX_N
+        bound = spectra._coefficient_bound(CHARPOLY_MAX_N, 496)
         chosen = spectra._moduli(bound)
+        assert chosen == spectra._PRIMES
         assert math.prod(chosen) > 2 * bound
         assert math.prod(chosen[:-1]) <= 2 * bound
 
     def test_too_few_primes_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_PRIMES", spectra._PRIMES[:-1])
+        # K_32 needs both primes
+        monkeypatch.setattr(spectra, "_PRIMES", spectra._PRIMES[:1])
         with pytest.raises(ArithmeticError):
             char_poly(complete(CHARPOLY_MAX_N))
+
+
+class TestCoefficientBound:
+    @pytest.mark.parametrize("density", (0.0,) + DENSITIES + (1.0,))
+    def test_bounds_seeded_graphs(self, density):
+        for g in corpus(density):
+            bound = spectra._coefficient_bound(g.n, g.m)
+            assert max(map(abs, reference_char_poly(g))) <= bound
+
+    @pytest.mark.parametrize("g", [
+        complete(32), complete_bipartite(16, 16), complete_bipartite(1, 31),
+        cycle(31),
+    ], ids=["K32", "K16,16", "K1,31", "C31"])
+    def test_bounds_extremal_graphs(self, g):
+        bound = spectra._coefficient_bound(g.n, g.m)
+        assert max(map(abs, reference_char_poly(g))) <= bound
+
+    def test_largest_at_complete_32(self):
+        bound = spectra._coefficient_bound(CHARPOLY_MAX_N, 496)
+        assert bound.bit_length() == 85
+        assert all(spectra._coefficient_bound(n, n * (n - 1) // 2) <= bound
+                   for n in range(1, CHARPOLY_MAX_N + 1))
+
+
+def _with_max_degree(g: Graph) -> Graph:
+    """g plus every edge at vertex 0, so some row of A has n - 1 ones."""
+    edges = set(g.edges) | {(0, v) for v in range(1, g.n)}
+    return Graph(g.n, tuple(sorted(edges)))
+
+
+@pytest.mark.parametrize("g", [
+    Graph(32, tuple((u, v) for u, v in complete(32).edges if (u, v) != (0, 1))),
+    Graph(32, tuple((u, v) for u, v in complete(32).edges
+                    if not (u > 0 and u % 2 == 0 and v == u + 1))),
+    _with_max_degree(Graph(32, ((1, 2), (3, 4), (5, 6), (7, 8)))),
+] + [_with_max_degree(random_graph(random.Random(31 + i), 32, density))
+     for i, density in enumerate(DENSITIES)],
+    ids=["K32-edge", "K32-matching", "K1,31+4"] + [f"seeded-{d}" for d in DENSITIES])
+def test_max_degree_31_matches_reference(g):
+    """Rows with 31 ones drive the lazy range to its bound."""
+    assert max(g.degree(v) for v in range(g.n)) == CHARPOLY_MAX_N - 1
+    assert char_poly(g).coeffs == reference_char_poly(g)
 
 
 def test_runtime_imports_neither_sympy_nor_scipy():
