@@ -32,6 +32,11 @@ the whole class as multisets of connected classes, by the Euler transform
 (Harary & Palmer, "Graphical Enumeration", 1973).  The tests compare every
 growth with a reference generator that deduplicates every augmentation by
 canonical form, or with the full levels filtered by `ClassFilter.admits`.
+
+One function, `_verdict`, decides every certifier but Erdos: no graph may
+pass the bound, and those at it must be the theorem's equality set.  Erdos
+has no characterized equality set (at n = 10 three classes attain the bound,
+two of them constructions), so it asks only that a construction attains it.
 """
 
 from __future__ import annotations
@@ -582,7 +587,7 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
                      jobs: int = 1) -> Iterator[Graph]:
     """All isomorphism classes with m edges and no isolated vertices in
     the filter's class, in canonical-form order: the stored level of the
-    growth the filter picks, as it stands."""
+    growth the filter picks, built (and the arguments checked) by the call."""
     if m < 1:
         raise GraphError("enumeration needs m >= 1")
     if jobs < 1:
@@ -594,7 +599,7 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
     kind = "odd" if filt.non_bipartite else "edge"
     if filt.connected:
         kind = "odd-conn" if filt.non_bipartite else "conn"
-    yield from _levels_up_to(m, (kind, _prune_key(filt)), jobs)[m].values()
+    return iter(_levels_up_to(m, (kind, _prune_key(filt)), jobs)[m].values())
 
 
 def graphs_on_vertices(n: int, triangle_free: bool = True,
@@ -713,6 +718,32 @@ def report_to_json(report: CertificationReport | BooksizeReport,
 # ---------------------------------------------------------------------------
 
 
+def _verdict(graphs: Sequence[Graph], vals: Sequence[float], bound: float,
+             expected_equality: set[str]
+             ) -> tuple[float, tuple[str, ...], str, tuple[str, ...]]:
+    """(max value, maximizers, verdict, counterexamples) of a bound whose
+    equality set is exactly `expected_equality`, from the examined graphs
+    and their values.  The graphs above the bound violate it; otherwise
+    the claimants, the graphs at the bound, must be the expected set."""
+    max_val = max(vals, default=0.0)
+
+    def named(keep: Callable[[float], bool]) -> list[str]:
+        return sorted(canonical_form(g).decode()
+                      for g, v in zip(graphs, vals) if keep(v))
+
+    maximizers = tuple(named(lambda v: v >= max_val - MAXIMIZER_TOL))
+    violators = named(lambda v: v > bound + EQUALITY_TOL)
+    claimants = set(named(lambda v: abs(v - bound) <= EQUALITY_TOL))
+    if violators:
+        return max_val, maximizers, "VIOLATED", tuple(violators)
+    if claimants == expected_equality:
+        verdict = "HOLDS_WITH_EQUALITY" if claimants else "HOLDS"
+        return max_val, maximizers, verdict, ()
+    # numerics nominated an equality set that structure rejects
+    return (max_val, maximizers, "VIOLATED",
+            tuple(sorted(claimants ^ expected_equality)))
+
+
 def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
                     expected_equality: set[str],
                     quantity: Callable[[Graph], float], jobs: int,
@@ -728,33 +759,8 @@ def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
     else:
         graphs = list(enumerate_graphs(m, filt, jobs))
         examined = len(graphs)
-    vals = [quantity(g) for g in graphs]
-    if graphs:
-        max_val = max(vals)
-        maximizers = sorted(
-            canonical_form(g).decode() for g, v in zip(graphs, vals)
-            if v >= max_val - MAXIMIZER_TOL
-        )
-    else:
-        max_val = 0.0
-        maximizers = []
-    violators = sorted(
-        canonical_form(g).decode() for g, v in zip(graphs, vals)
-        if v > bound + EQUALITY_TOL
-    )
-    claimants = {
-        canonical_form(g).decode() for g, v in zip(graphs, vals)
-        if abs(v - bound) <= EQUALITY_TOL
-    }
-    if violators:
-        verdict, counter = "VIOLATED", tuple(violators)
-    elif claimants == expected_equality:
-        counter = ()
-        verdict = "HOLDS_WITH_EQUALITY" if claimants else "HOLDS"
-    else:
-        # numerics nominated an equality set that structure rejects
-        verdict = "VIOLATED"
-        counter = tuple(sorted(claimants ^ expected_equality))
+    max_val, maximizers, verdict, counter = _verdict(
+        graphs, [quantity(g) for g in graphs], bound, expected_equality)
     return CertificationReport(
         theorem=theorem,
         m=m,
@@ -762,7 +768,7 @@ def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
         graphs_examined=examined,
         max_lambda=max_val,
         bound=bound,
-        maximizers=tuple(maximizers),
+        maximizers=maximizers,
         verdict=verdict,
         wall_time=time.perf_counter() - start,
         counterexamples=counter,
@@ -898,21 +904,15 @@ def certify_mantel(n: int) -> CertificationReport:
     # connected; the other classes are multisets of connected ones
     gs = graphs_on_vertices(n, triangle_free=True, connected=True)
     sizes = [len(level) for level in _levels_up_to(n, ("vertex-conn", True))]
-    bound = n * n // 4
-    max_m = max(g.m for g in gs)
-    maximizers = sorted(canonical_form(g).decode() for g in gs if g.m == max_m)
-    expected = [
-        canonical_form(complete_bipartite(n // 2, (n + 1) // 2)).decode()]
-    if max_m == bound and maximizers == expected:
-        verdict, counter = "HOLDS_WITH_EQUALITY", ()
-    else:
-        verdict = "VIOLATED"
-        counter = tuple(sorted(set(maximizers) ^ set(expected)))
+    bound = float(n * n // 4)
+    expected = {
+        canonical_form(complete_bipartite(n // 2, (n + 1) // 2)).decode()}
+    max_m, maximizers, verdict, counter = _verdict(
+        gs, [float(g.m) for g in gs], bound, expected)
     return CertificationReport(
         theorem="mantel", m=n, filter="triangle-free (n-vertex)",
-        graphs_examined=_euler(sizes)[n], max_lambda=float(max_m),
-        bound=float(bound),
-        maximizers=tuple(maximizers), verdict=verdict,
+        graphs_examined=_euler(sizes)[n], max_lambda=max_m, bound=bound,
+        maximizers=maximizers, verdict=verdict,
         wall_time=time.perf_counter() - start, counterexamples=counter,
     )
 

@@ -330,9 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except G.Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (G.GraphError, bounds.BoundsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

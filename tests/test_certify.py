@@ -166,6 +166,15 @@ class TestEnumeration:
         with pytest.raises(BudgetError):
             list(enumerate_graphs(13))
 
+    def test_arguments_checked_by_the_call(self):
+        # the call itself raises, before anything is iterated
+        with pytest.raises(BudgetError):
+            enumerate_graphs(99)
+        with pytest.raises(GraphError):
+            enumerate_graphs(5, jobs=0)
+        with pytest.raises(GraphError):
+            enumerate_graphs(0)
+
     def test_no_isolated_vertices(self):
         for g in enumerate_graphs(5):
             assert all(g.degree(v) > 0 for v in range(g.n))
@@ -377,10 +386,8 @@ class TestVertexEnumeration:
     def test_triangle_free_counts(self):
         # connected + disconnected triangle-free graphs on n vertices,
         # cross-checked against the atlas
-        atlas = [g for g in nx.generators.atlas.graph_atlas_g()[1:]
-                 if nx.is_forest(g) or True]
         counts: dict[int, int] = {}
-        for g in atlas:
+        for g in nx.generators.atlas.graph_atlas_g()[1:]:
             n = g.number_of_nodes()
             if n == 0:
                 continue
@@ -523,6 +530,30 @@ class TestMantelErdos:
         assert r.verdict == "HOLDS_WITH_EQUALITY"
         assert int(r.bound) == 7
         assert canon6(erdos_extremal(6, 1)) in r.maximizers
+
+    def test_mantel_violation_path(self, monkeypatch):
+        # a graph with more than floor(n^2/4) edges is the counterexample
+        real = certify.graphs_on_vertices
+        k5 = complete(5)
+        monkeypatch.setattr(certify, "graphs_on_vertices",
+                            lambda *args, **kw: real(*args, **kw) + [k5])
+        r = certify_mantel(5)
+        assert r.verdict == "VIOLATED"
+        assert r.max_lambda == 10.0
+        assert r.counterexamples == (canon6(k5),)
+
+    def test_erdos_violation_path(self, monkeypatch):
+        # with no construction among the maximizers, they are the
+        # counterexamples
+        real = certify.graphs_on_vertices
+        built = {canon6(erdos_extremal(6, k)) for k in (1, 2)}
+        monkeypatch.setattr(
+            certify, "graphs_on_vertices", lambda *args, **kw: [
+                g for g in real(*args, **kw) if canon6(g) not in built])
+        r = certify_erdos(6)
+        assert r.verdict == "VIOLATED"
+        assert r.maximizers and not built & set(r.maximizers)
+        assert r.counterexamples == r.maximizers
 
 
 class TestBooksize:

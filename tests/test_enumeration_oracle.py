@@ -14,6 +14,7 @@ full-rank step-1 rule is kept here as the reference for the incremental one.
 """
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import example, given
@@ -269,6 +270,11 @@ TRIANGLE_FREE_LEVELS_DIGEST = (
     "ca2e4c0fdd268c2767e56751b51db875c273845a699121ffa5e437fd9802776d")
 VERTEX_LEVEL_7_DIGEST = (
     "04e158d8ede90da5b2bdfeb204dcbd96e8d1e9edbbe9c03718bc7b2793e66988")
+# the reports of every certifier on its small parameters, without the wall
+# time and with the two floats as `render_text` prints them, so that a
+# verdict change shows and the last bit of this host's LAPACK does not
+REPORTS_DIGEST = (
+    "db6cfba477493fe64ee3999430c799901578e187968d18088923d61c8d189be1")
 
 
 def digest(data: bytes) -> str:
@@ -295,6 +301,32 @@ def test_vertex_level_pinned(fresh_levels):
     assert list(level.values()) == graphs and len(graphs) == 107
     assert digest(repr([(c, g.n, g.edges) for c, g in level.items()])
                   .encode()) == VERTEX_LEVEL_7_DIGEST
+
+
+def report_plan() -> list:
+    return [
+        *[f(m) for m in range(3, 11)
+          for f in (certify.certify_nosal, certify.certify_lnw_sum)],
+        *[f(m) for m in range(5, 12)
+          for f in (certify.certify_thm15, certify.certify_zhai_shu)],
+        *[certify.certify_main(m) for m in range(7, 13)],
+        *[certify.certify_conj51(m, 3) for m in (9, 11, 13)],
+        *[certify.certify_mantel(n) for n in range(2, 9)],
+        *[certify.certify_erdos(n) for n in range(5, 9)],
+    ]
+
+
+def test_reports_pinned():
+    rows = []
+    for report in report_plan():
+        row = report.to_json_dict()
+        del row["wall_time"]
+        row["max_lambda"] = f"{report.max_lambda:.10f}"
+        row["bound"] = f"{report.bound:.10f}"
+        rows.append(row)
+    assert len(rows) == 50
+    assert digest(json.dumps(rows, sort_keys=True).encode()) \
+        == REPORTS_DIGEST
 
 
 # The full-rank step-1 rule: rank every piece of h afresh by the
