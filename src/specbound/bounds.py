@@ -18,6 +18,27 @@ section 5.1, eq. (5.3)): |p^(x) - p(x)| <= gamma_2d * sum |c_i| |x|^i with
 gamma_2d = 2du / (1 - 2du) and u = 2^-53.  Otherwise the sign is computed
 exactly over the integers.  The guard is computed once per bracket, and the
 bisection tests each midpoint against it inline.
+
+Most midpoints need no evaluation at all.  Before the loop the kernel
+proves a root window (a, b) with a < r < b around the root r:
+
+* monotonicity: on a bracket with lo > 0 every term i c_i x^(i-1) of p'
+  is monotone, so sum i c_i e_i^(i-1), with e_i = lo for c_i > 0 and hi
+  otherwise, bounds p' from below on the whole bracket.  Less a rounding
+  slack that covers its float evaluation, this is p'_min; when p'_min > 0,
+  p is strictly increasing there and r is its only root;
+* estimate: float Newton steps from the regula-falsi point of the two end
+  values give x;
+* radius: by the mean-value theorem |x - r| = |p(x)| / p'(xi) <=
+  (|p^(x)| + guard) / p'_min.  The radius is widened by a relative 2^-50
+  and each end moved one float outward, so both ends are strictly clear of
+  r after rounding; ends beyond the bracket are clipped to it.
+
+A midpoint at or below a then has p < 0, and one at or above b has p > 0,
+with no evaluation.  Only midpoints inside the window run the guarded test.
+The signs are the exact ones either way, so the bracket is the exact
+bisection's to the bit.  Without a proof of monotonicity (lo <= 0, p'_min
+<= 0, or every sign exact) the window is the whole bracket.
 """
 
 from __future__ import annotations
@@ -37,6 +58,11 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # a rounded-up square root is within half a float of the exact one, so one
 # step reaches below it; the bound only keeps a wrong bracket from looping
 _LEFT_END_STEPS = 4
+# from the regula-falsi point Newton reaches the guard in one step for 95%
+# of the beta/gamma brackets at m <= 10^4 and in three at most; the cap only
+# bounds the work on a bracket where it does not converge
+_NEWTON_STEPS = 8
+_RADIUS_SLACK = 1.0 + 2.0 ** -50  # covers the two roundings of the radius
 
 
 class BoundsError(ValueError):
@@ -215,29 +241,93 @@ def _float_form(coeffs: tuple[int, ...], lo: float, hi: float
     decides the sign; anything else is computed exactly.  When a coefficient
     is not an exact double, or scale might overflow, the form is empty and
     the guard infinite, so every sign is exact."""
+    return _bracket_form(coeffs, lo, hi)[:2]
+
+
+def _bracket_form(coeffs: tuple[int, ...], lo: float, hi: float
+                  ) -> tuple[tuple[float, ...], float, float]:
+    """`_float_form` and, from the same pass over the coefficients, p'_min:
+    a lower bound on p' over [lo, hi], or -inf when lo <= 0 or the form is
+    empty.
+
+    For lo > 0, p'(x) >= P+'(lo) + P-'(hi) on [lo, hi], where P+ and P- hold
+    the positive and the negative terms of p.  Their float Horner
+    derivatives sum terms of one sign, so each is within gamma_2d of its
+    exact value, and |P+'| + |P-'| <= sum i |c_i| r^(i-1) <= d * scale / r.
+    Subtracting 2d * guard / r = 8 d (d+1) u * scale / r covers that error
+    and the rounding of the subtraction, so p'_min never exceeds the exact
+    bound.  It may be NaN or infinite after an overflow; the caller then
+    proves no window."""
     if max(map(abs, coeffs)) < _EXACT_INT:
+        fc = tuple(map(float, reversed(coeffs)))  # exact: |c_i| < 2^53
         r = max(1.0, abs(lo), abs(hi))
-        scale = 0.0
-        for c in reversed(coeffs):
+        scale = pos = dpos = neg = dneg = 0.0
+        for c in fc:
             scale = scale * r + abs(c)
+            dpos = dpos * lo + pos
+            dneg = dneg * hi + neg
+            if c > 0.0:
+                pos = pos * lo + c
+                neg *= hi
+            else:
+                pos *= lo
+                neg = neg * hi + c
         # Horner intermediates stay below about scale, so a finite 2*scale
         # also rules out overflow in the evaluation.
         if math.isfinite(2.0 * scale):
-            return (tuple(map(float, reversed(coeffs))),
-                    4 * len(coeffs) * _UNIT_ROUNDOFF * scale)
-    return (), math.inf  # |0.0| > inf never holds: every sign goes exact
+            d = len(fc) - 1
+            guard = 4 * (d + 1) * _UNIT_ROUNDOFF * scale
+            slope = dpos + dneg - 2 * d * guard / r if lo > 0 else -math.inf
+            return fc, guard, slope
+    return (), math.inf, -math.inf  # |0.0| > inf never holds: all exact
+
+
+def _signed_value(coeffs: tuple[int, ...], fc: tuple[float, ...],
+                  guard: float, x: float) -> tuple[float, int]:
+    """Float Horner value of an integer polynomial at x and its proven sign,
+    for (fc, guard) given by `_float_form` on an interval holding x."""
+    val = 0.0
+    for c in fc:
+        val = val * x + c
+    if abs(val) > guard:
+        return val, (1 if val > 0 else -1)
+    return val, _dyadic_sign(coeffs, x)
 
 
 def _sign(coeffs: tuple[int, ...], fc: tuple[float, ...], guard: float,
           x: float) -> int:
     """Proven sign of an integer polynomial at x, for (fc, guard) given by
     `_float_form` on an interval holding x."""
-    val = 0.0
-    for c in fc:
-        val = val * x + c
-    if abs(val) > guard:
-        return 1 if val > 0 else -1
-    return _dyadic_sign(coeffs, x)
+    return _signed_value(coeffs, fc, guard, x)[1]
+
+
+def _root_window(fc: tuple[float, ...], guard: float, slope: float,
+                 lo: float, hi: float, v_lo: float, v_hi: float
+                 ) -> tuple[float, float]:
+    """(a, b) with lo <= a < r < b <= hi for the root r of p on a bracket
+    with p(lo) < 0 < p(hi), given (fc, guard, slope) from `_bracket_form`
+    on an interval holding [lo, hi] and the float values v_lo, v_hi of p at
+    the ends.  With no proof of monotonicity it is (lo, hi).
+
+    Newton steps from the regula-falsi point stop once |p^(x)| is within
+    the guard; x only ever picks the window's centre, and the radius
+    (|p^(x)| + guard) / slope holds for any x in [lo, hi]."""
+    if not 0.0 < slope < math.inf:
+        return lo, hi
+    # the end values may sit inside the guard band with either float sign
+    x = lo - v_lo * (hi - lo) / (v_hi - v_lo) if v_lo < 0.0 < v_hi else hi
+    for step in range(_NEWTON_STEPS + 1):
+        x = lo if x < lo else (hi if x > hi else x)
+        val = dval = 0.0
+        for c in fc:
+            dval = dval * x + val
+            val = val * x + c
+        if abs(val) <= guard or step == _NEWTON_STEPS or not dval > 0.0:
+            break
+        x -= val / dval
+    rad = (abs(val) + guard) / slope * _RADIUS_SLACK
+    return (max(lo, math.nextafter(x - rad, -math.inf)),
+            min(hi, math.nextafter(x + rad, math.inf)))
 
 
 def bisect_largest_root(poly: IntPoly, lo: float, hi: float) -> RootBracket:
@@ -250,6 +340,13 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float) -> RootBracket:
     Horner test inline, and a value inside the guard band is computed
     exactly, so an endpoint root is detected, never straddled.  Ends that
     are not finite, or with lo > hi, are rejected before any sign.
+
+    Midpoints outside the root window (a, b) of `_root_window` take their
+    sign from monotonicity with no evaluation: p'_min > 0 on the bracket
+    makes p increasing, and the mean-value radius (|p^(x)| + guard) /
+    p'_min, widened for rounding, puts the root strictly inside (a, b).
+    The midpoints, the stopping rule, the exact-root return and so the
+    bracket are those of the bisection that evaluates every sign exactly.
 
     An analytic left end such as a rounded square root can land above the
     largest root at large m, so a left end whose sign is not negative
@@ -264,27 +361,41 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float) -> RootBracket:
     floor = lo  # the sign bound covers every left end the steps can reach
     for _ in range(_LEFT_END_STEPS):
         floor = math.nextafter(floor, -math.inf)
-    fc, guard = _float_form(ic, floor, hi)
-    s_lo = _sign(ic, fc, guard, lo)
+    fc, guard, slope = _bracket_form(ic, floor, hi)
+    v_lo, s_lo = _signed_value(ic, fc, guard, lo)
     for _ in range(_LEFT_END_STEPS):
         if s_lo < 0:
             break
         lo = math.nextafter(lo, -math.inf)
-        s_lo = _sign(ic, fc, guard, lo)
-    s_hi = _sign(ic, fc, guard, hi)
+        v_lo, s_lo = _signed_value(ic, fc, guard, lo)
+    v_hi, s_hi = _signed_value(ic, fc, guard, hi)
     if s_hi == 0:
         return RootBracket(hi, hi, poly)
     if not (s_lo < 0 < s_hi):
         raise BoundsError(
             f"bracket [{lo}, {hi}] has signs ({s_lo}, {s_hi}); expected (-, +)"
         )
+    a, b = _root_window(fc, guard, slope, lo, hi, v_lo, v_hi)
     width = BISECT_WIDTH
     for _ in range(200):
         if hi - lo <= width:
             break
         mid = 0.5 * (lo + hi)
+        # lo < mid < hi fails only for adjacent floats; a < hi and lo < b
+        # always hold, so a midpoint outside the window can only equal lo
+        # or hi respectively
+        if mid <= a:
+            if mid == lo:
+                break
+            lo = mid
+            continue
+        if mid >= b:
+            if mid == hi:
+                break
+            hi = mid
+            continue
         if not lo < mid < hi:
-            break  # adjacent floats
+            break
         val = 0.0
         for c in fc:
             val = val * mid + c

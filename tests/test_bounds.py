@@ -17,6 +17,7 @@ from specbound.bounds import (
     PENDANT_SITES,
     _dyadic_sign,
     _float_form,
+    _root_window,
     _sign,
     beta,
     beta_bracket,
@@ -394,6 +395,87 @@ class TestCertifiedSigns:
         assert any(isinstance(c, Fraction) for c in f_poly(4, 13).coeffs)
         assert not hasattr(gamma_bracket(101), "__dict__")
         assert not hasattr(f_poly(3, 10), "__dict__")
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """(lo, hi, a, b) for every root window the library proves: the
+    bracket after the left-end steps, and the window inside it."""
+    seen = []
+
+    def recording(fc, guard, slope, lo, hi, v_lo, v_hi):
+        a, b = _root_window(fc, guard, slope, lo, hi, v_lo, v_hi)
+        seen.append((lo, hi, a, b))
+        return a, b
+
+    monkeypatch.setattr(bounds, "_root_window", recording)
+    return seen
+
+
+# gamma's termwise bound on L' is not positive on (sqrt(m-4), sqrt(m-3))
+# for these m, so their window is the whole bracket
+GAMMA_WHOLE_BRACKET = range(8, 15)
+
+
+class TestRootWindow:
+    """Midpoints outside the proven window take their sign from
+    monotonicity, so the window must hold the root, and it must be narrow
+    where monotonicity holds: a silent fallback to the whole bracket keeps
+    every bracket right but would fail the width check."""
+
+    def check_windows(self, ms, windows):
+        for m in ms:
+            for bracket, poly, _, _ in start_brackets(m):
+                del windows[:]
+                rb = bracket.__wrapped__(m)  # bypass the bracket cache
+                if rb.lo == rb.hi:  # a root at the right end: no window
+                    assert not windows, m
+                    continue
+                (lo, hi, a, b), = windows
+                ic = poly.as_integer()
+                assert lo <= a < b <= hi, m
+                assert _dyadic_sign(ic, a) < 0 < _dyadic_sign(ic, b), m
+                if bracket is gamma_bracket and m in GAMMA_WHOLE_BRACKET:
+                    assert (a, b) == (lo, hi), m
+                else:
+                    assert b - a < 100 * BISECT_WIDTH, m
+
+    def test_small_m(self, windows):
+        self.check_windows(range(5, 3001), windows)
+
+    def test_large_m(self, windows):
+        self.check_windows(random.Random(31).sample(range(3001, 10 ** 6 + 1),
+                                                    200), windows)
+
+    def test_non_monotone_bracket_is_whole(self, windows):
+        """(x-1)(x-2)(x-3) on [0.5, 3.5] falls and rises: no window, and the
+        bisection hits the root 2 at its first midpoint."""
+        p = IntPoly((-6, 11, -6, 1))
+        rb = bisect_largest_root(p, 0.5, 3.5)
+        assert windows == [(0.5, 3.5, 0.5, 3.5)]
+        assert (rb.lo, rb.hi) == exact_bisect(p, 0.5, 3.5) == (2.0, 2.0)
+
+    def test_no_window_on_non_positive_brackets(self, windows):
+        p = IntPoly((-1, 0, 1))  # x^2 - 1 rises on [-0.5, 3] past x = 0
+        rb = bisect_largest_root(p, -0.5, 3.0)
+        assert windows == [(-0.5, 3.0, -0.5, 3.0)]
+        assert (rb.lo, rb.hi) == exact_bisect(p, -0.5, 3.0)
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=6),
+           st.integers(1, 7), st.floats(1e-9, 2.0), st.floats(1e-9, 2.0))
+    def test_clustered_roots_match_exact_bisection(self, nums, den, left,
+                                                   right):
+        """prod (den x - n_i): roots k/den, often repeated or close; the
+        bracket around the largest one may or may not be monotone."""
+        p = IntPoly((1,))
+        for n in nums:
+            p = p * IntPoly((-n, den))
+        root = max(nums) / den
+        lo, hi = root - left, root + right
+        if lo <= 0 or _dyadic_sign(p.as_integer(), lo) >= 0:
+            return  # not a (-, +) bracket with a positive left end
+        rb = bisect_largest_root(p, lo, hi)
+        assert (rb.lo, rb.hi) == exact_bisect(p, lo, hi)
 
 
 def large_m_sample(seed: int, per_decade: int) -> list[int]:

@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
-from specbound import certify
-from specbound.cli import main, parse_construction
+import specbound
+from specbound import bounds, certify
+from specbound.cli import _sqrt_sign, main, parse_construction
 from specbound.graphs import (
     canonical_form,
     complete_bipartite,
@@ -102,6 +107,47 @@ class TestCommands:
         lines = {l.split("=")[0].strip(): float(l.split("=")[1].split()[0])
                  for l in out.splitlines() if "=" in l and "omitted" not in l}
         assert lines["beta(m)"] - lines["sqrt(m-2)"] < 1e-2
+
+    @pytest.mark.parametrize("m", [284281998, 10 ** 12])
+    def test_bounds_decided_exactly_at_large_m(self, capsys, m):
+        """At these m the float square roots cannot separate the root from
+        the window's ends; the checks are decided in integers."""
+        code, out, _ = run(capsys, "bounds", str(m))
+        assert code == 0
+        assert "FAIL" not in out
+        assert out.count(": ok") == 2
+
+    def test_bounds_wrong_bracket_fails(self, capsys, monkeypatch):
+        # beta's bracket lies above sqrt(m-3), so it fails gamma's window
+        monkeypatch.setattr(bounds, "gamma_bracket", bounds.beta_bracket)
+        code, out, _ = run(capsys, "bounds", str(10 ** 12))
+        assert code == 2
+        lines = out.splitlines()
+        assert [l.startswith("gamma") for l in lines if "FAIL" in l] == [True]
+
+    def test_sqrt_sign_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(11)
+        cases = [((-1, 0, 1), 1), ((-2, 0, 1), 2), ((0, 1), 0), ((3,), 5)]
+        for _ in range(300):
+            coeffs = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 8)))
+            cases.append((coeffs, rng.choice([0, 1, 2, 3, 4, 8, 9, 50])))
+        for coeffs, s in cases:
+            value = sum(c * sympy.sqrt(s) ** i for i, c in enumerate(coeffs))
+            assert _sqrt_sign(coeffs, s) == sympy.sign(sympy.expand(value)), \
+                (coeffs, s)
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(specbound.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-m", "specbound", "bounds", "9"],
+                             capture_output=True, text=True, timeout=60,
+                             env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("m = 9\n")
+        assert out.stdout.count(": ok") == 2
 
     def test_certify_exit_codes(self, capsys, tmp_path):
         out_json = tmp_path / "r.json"
