@@ -9,15 +9,18 @@ beta(m) and gamma(m) are the largest roots of
 and are the maximum spectral radii over m-edge triangle-free non-bipartite
 graphs and {C3,C5}-free non-bipartite graphs respectively.  Both come with
 analytic sign-change brackets, which bisection turns into certified
-enclosures; endpoint signs can be re-verified in exact integer arithmetic.
+enclosures; endpoint signs can be re-verified in exact integer arithmetic,
+and so can the place of the root between two square roots
+(`RootBracket.root_between_sqrts`).
 
 Every sign the bisection acts on is proven.  It is read from the float
 Horner value p^(x) only when |p^(x)| exceeds the rounding bound of Horner's
 rule (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 section 5.1, eq. (5.3)): |p^(x) - p(x)| <= gamma_2d * sum |c_i| |x|^i with
 gamma_2d = 2du / (1 - 2du) and u = 2^-53.  Otherwise the sign is computed
-exactly over the integers.  The guard is computed once per bracket, and the
-bisection tests each midpoint against it inline.
+exactly over the integers.  The guard is computed once per bracket, and
+`_signed_value` applies it to the ends and to every midpoint that needs a
+value.
 
 Most midpoints need no evaluation at all.  Before the loop the kernel
 proves a root window (a, b) with a < r < b around the root r:
@@ -35,8 +38,8 @@ proves a root window (a, b) with a < r < b around the root r:
   r after rounding; ends beyond the bracket are clipped to it.
 
 A midpoint at or below a then has p < 0, and one at or above b has p > 0,
-with no evaluation.  Only midpoints inside the window run the guarded test.
-The signs are the exact ones either way, so the bracket is the exact
+with no evaluation; one inside the window takes `_signed_value`'s sign.  The
+signs are the exact ones either way, so the bracket is the exact
 bisection's to the bit.  Without a proof of monotonicity (lo <= 0, p'_min
 <= 0, or every sign exact) the window is the whole bracket.
 """
@@ -217,6 +220,30 @@ class RootBracket:
             return _dyadic_sign(ic, self.lo) == 0
         return _dyadic_sign(ic, self.lo) < 0 <= _dyadic_sign(ic, self.hi)
 
+    def root_between_sqrts(self, s: int, t: int) -> bool:
+        """sqrt(s) < r <= sqrt(t), decided exactly, for the root r of the
+        monic poly that the bracket certifies in (lo, hi] (lo = hi = r when
+        it was hit).
+
+        r > sqrt(s) when lo >= sqrt(s) lies below r, or when p(sqrt(s)) < 0:
+        a monic p then has a root above sqrt(s), and r is the largest.
+        r <= sqrt(t) when hi <= sqrt(t); it fails when lo >= sqrt(t) lies
+        below r; otherwise sqrt(t) is inside the bracket, and p(sqrt(t)) >= 0
+        puts the bracket's sign change at or below it.  x against sqrt(k) is
+        the sign of x^2 - k at x."""
+        ic = self.poly.as_integer()
+        lo, hi = self.lo, self.hi
+        lo_vs_s = _dyadic_sign((-s, 0, 1), lo) if lo > 0 else -1
+        above = (lo_vs_s > 0 or (lo_vs_s == 0 and lo < hi)
+                 or _sqrt_sign(ic, s) < 0)
+        if hi >= 0 and _dyadic_sign((-t, 0, 1), hi) <= 0:
+            below = True
+        elif lo > 0 and _dyadic_sign((-t, 0, 1), lo) >= 0:
+            below = False
+        else:
+            below = _sqrt_sign(ic, t) >= 0
+        return above and below
+
 
 def _dyadic_sign(coeffs: tuple[int, ...], x: float) -> int:
     """Exact sign of an integer polynomial at a float (a dyadic rational)."""
@@ -229,10 +256,26 @@ def _dyadic_sign(coeffs: tuple[int, ...], x: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _float_form(coeffs: tuple[int, ...], lo: float, hi: float
-                ) -> tuple[tuple[float, ...], float]:
-    """Float coefficients, highest degree first, and the guard of Horner's
-    rule for an integer polynomial at any float x in [lo, hi].
+def _sqrt_sign(coeffs: tuple[int, ...], s: int) -> int:
+    """Exact sign of an integer polynomial at sqrt(s), s >= 0: the value is
+    E + sqrt(s) O with integers E = sum c_2k s^k and O = sum c_2k+1 s^k."""
+    even = sum(c * s ** k for k, c in enumerate(coeffs[0::2]))
+    odd = sum(c * s ** k for k, c in enumerate(coeffs[1::2]))
+    e, o = (even > 0) - (even < 0), (odd > 0) - (odd < 0)
+    if e == o or o == 0 or s == 0:
+        return e
+    if e == 0:
+        return o
+    gap = even * even - s * odd * odd  # sign of |E| - sqrt(s) |O|
+    return e if gap > 0 else (o if gap < 0 else 0)
+
+
+def _bracket_form(coeffs: tuple[int, ...], lo: float, hi: float
+                  ) -> tuple[tuple[float, ...], float, float]:
+    """Float coefficients, highest degree first, the guard of Horner's rule
+    for an integer polynomial at any float x in [lo, hi], and, from the same
+    pass over the coefficients, p'_min: a lower bound on p' over [lo, hi],
+    or -inf when lo <= 0 or the form is empty.
 
     With r = max(1, |lo|, |hi|) and scale = sum |c_i| r^i, the float Horner
     value at such an x is within gamma_2d * scale of the exact value
@@ -240,15 +283,7 @@ def _float_form(coeffs: tuple[int, ...], lo: float, hi: float
     after the rounding of scale itself.  A float value beyond the guard
     decides the sign; anything else is computed exactly.  When a coefficient
     is not an exact double, or scale might overflow, the form is empty and
-    the guard infinite, so every sign is exact."""
-    return _bracket_form(coeffs, lo, hi)[:2]
-
-
-def _bracket_form(coeffs: tuple[int, ...], lo: float, hi: float
-                  ) -> tuple[tuple[float, ...], float, float]:
-    """`_float_form` and, from the same pass over the coefficients, p'_min:
-    a lower bound on p' over [lo, hi], or -inf when lo <= 0 or the form is
-    empty.
+    the guard infinite, so every sign is exact.
 
     For lo > 0, p'(x) >= P+'(lo) + P-'(hi) on [lo, hi], where P+ and P- hold
     the positive and the negative terms of p.  Their float Horner
@@ -285,20 +320,13 @@ def _bracket_form(coeffs: tuple[int, ...], lo: float, hi: float
 def _signed_value(coeffs: tuple[int, ...], fc: tuple[float, ...],
                   guard: float, x: float) -> tuple[float, int]:
     """Float Horner value of an integer polynomial at x and its proven sign,
-    for (fc, guard) given by `_float_form` on an interval holding x."""
+    for (fc, guard) given by `_bracket_form` on an interval holding x."""
     val = 0.0
     for c in fc:
         val = val * x + c
     if abs(val) > guard:
         return val, (1 if val > 0 else -1)
     return val, _dyadic_sign(coeffs, x)
-
-
-def _sign(coeffs: tuple[int, ...], fc: tuple[float, ...], guard: float,
-          x: float) -> int:
-    """Proven sign of an integer polynomial at x, for (fc, guard) given by
-    `_float_form` on an interval holding x."""
-    return _signed_value(coeffs, fc, guard, x)[1]
 
 
 def _root_window(fc: tuple[float, ...], guard: float, slope: float,
@@ -335,17 +363,17 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float) -> RootBracket:
     width of BISECT_WIDTH or to adjacent floats.
 
     The right end may itself be the root (closed bracket).  Every sign is
-    proven: the guard of Higham's rounding bound is computed once for the
-    whole bracket (see `_float_form`), each midpoint runs the guarded
-    Horner test inline, and a value inside the guard band is computed
-    exactly, so an endpoint root is detected, never straddled.  Ends that
-    are not finite, or with lo > hi, are rejected before any sign.
+    proven, and each midpoint gets it from one rule: -1 at or below the
+    window end a, +1 at or above b, and otherwise `_signed_value`'s sign,
+    as for the ends.  The guard of Higham's rounding bound is computed once
+    for the whole bracket (see `_bracket_form`) and a value inside it is
+    computed exactly, so an endpoint root is detected, never straddled.
+    Ends that are not finite, or with lo > hi, are rejected before any sign.
 
-    Midpoints outside the root window (a, b) of `_root_window` take their
-    sign from monotonicity with no evaluation: p'_min > 0 on the bracket
-    makes p increasing, and the mean-value radius (|p^(x)| + guard) /
-    p'_min, widened for rounding, puts the root strictly inside (a, b).
-    The midpoints, the stopping rule, the exact-root return and so the
+    The root window (a, b) of `_root_window` is where monotonicity leaves
+    the sign open: p'_min > 0 on the bracket makes p increasing, and the
+    mean-value radius (|p^(x)| + guard) / p'_min, widened for rounding,
+    puts the root strictly inside (a, b).  The midpoints, the stopping rule, the exact-root return and so the
     bracket are those of the bisection that evaluates every sign exactly.
 
     An analytic left end such as a rounded square root can land above the
@@ -381,37 +409,26 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float) -> RootBracket:
         if hi - lo <= width:
             break
         mid = 0.5 * (lo + hi)
-        # lo < mid < hi fails only for adjacent floats; a < hi and lo < b
-        # always hold, so a midpoint outside the window can only equal lo
-        # or hi respectively
-        if mid <= a:
-            if mid == lo:
-                break
-            lo = mid
-            continue
-        if mid >= b:
-            if mid == hi:
-                break
-            hi = mid
-            continue
-        if not lo < mid < hi:
+        if not lo < mid < hi:  # adjacent floats
             break
-        val = 0.0
-        for c in fc:
-            val = val * mid + c
-        if val > guard:
-            hi = mid
-        elif val < -guard:
+        s = (-1 if mid <= a else 1 if mid >= b
+             else _signed_value(ic, fc, guard, mid)[1])
+        if s < 0:
             lo = mid
+        elif s > 0:
+            hi = mid
         else:
-            s = _dyadic_sign(ic, mid)
-            if s == 0:
-                return RootBracket(mid, mid, poly)
-            if s < 0:
-                lo = mid
-            else:
-                hi = mid
+            return RootBracket(mid, mid, poly)
     return RootBracket(lo, hi, poly)
+
+
+def _sqrt_end(k: int) -> float:
+    """sqrt(k) as a start end of a bracket, rejected past the float range."""
+    try:
+        return math.sqrt(k)
+    except OverflowError:
+        raise BoundsError("a start end of the bracket is past the float "
+                          "range") from None
 
 
 @lru_cache(maxsize=None)
@@ -420,7 +437,7 @@ def beta_bracket(m: int) -> RootBracket:
     the right end is a root exactly at m = 5 (SK_{2,2} = C_5)."""
     if m < 5:
         raise BoundsError("beta needs m >= 5")
-    return bisect_largest_root(z_poly(m), math.sqrt(m - 2), math.sqrt(m - 1))
+    return bisect_largest_root(z_poly(m), _sqrt_end(m - 2), _sqrt_end(m - 1))
 
 
 def beta(m: int) -> float:
@@ -434,7 +451,7 @@ def gamma_bracket(m: int) -> RootBracket:
     the right end is a root exactly at m = 7 (S_3(K_{2,2}) = C_7)."""
     if m < 7:
         raise BoundsError("gamma needs m >= 7")
-    return bisect_largest_root(l_poly(m), math.sqrt(m - 4), math.sqrt(m - 3))
+    return bisect_largest_root(l_poly(m), _sqrt_end(m - 4), _sqrt_end(m - 3))
 
 
 def gamma(m: int) -> float:
@@ -446,8 +463,10 @@ def star_plus_lambda(m: int) -> float:
     """Largest root of the star-plus-edge cubic, bracketed by
     (sqrt(m-1), Cauchy bound]; always exceeds sqrt(m-1)."""
     p = star_plus_poly(m)
+    lo = _sqrt_end(m - 1)
+    # max |c_i| = m - 1, which forming lo already showed to be a float
     hi = 1.0 + max(abs(c) for c in p.coeffs[:-1])
-    return bisect_largest_root(p, math.sqrt(m - 1), hi).value
+    return bisect_largest_root(p, lo, hi).value
 
 
 # ---------------------------------------------------------------------------

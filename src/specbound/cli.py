@@ -113,51 +113,6 @@ def cmd_charpoly(args) -> int:
     return 0
 
 
-def _sqrt_sign(coeffs: tuple[int, ...], s: int) -> int:
-    """Exact sign of an integer polynomial at sqrt(s), s >= 0: the value is
-    E + sqrt(s) O with integers E = sum c_2k s^k and O = sum c_2k+1 s^k."""
-    even = sum(c * s ** k for k, c in enumerate(coeffs[0::2]))
-    odd = sum(c * s ** k for k, c in enumerate(coeffs[1::2]))
-    e, o = (even > 0) - (even < 0), (odd > 0) - (odd < 0)
-    if e == o or o == 0 or s == 0:
-        return e
-    if e == 0:
-        return o
-    gap = even * even - s * odd * odd  # sign of |E| - sqrt(s) |O|
-    return e if gap > 0 else (o if gap < 0 else 0)
-
-
-def _square_cmp(x: float, s: int) -> int:
-    """Sign of x^2 - s, exactly."""
-    num, den = x.as_integer_ratio()
-    d = num * num - s * den * den
-    return (d > 0) - (d < 0)
-
-
-def _root_between_sqrts(rb: bounds.RootBracket, s: int, t: int) -> bool:
-    """sqrt(s) < r <= sqrt(t), decided exactly, for the root r of the monic
-    rb.poly that rb certifies in (rb.lo, rb.hi] (rb.lo = rb.hi = r when it
-    was hit).
-
-    r > sqrt(s) when lo >= sqrt(s) lies below r, or when p(sqrt(s)) < 0:
-    a monic p then has a root above sqrt(s), and r is the largest.
-    r <= sqrt(t) when hi <= sqrt(t); it fails when lo >= sqrt(t) lies below
-    r; otherwise sqrt(t) is inside the bracket, and p(sqrt(t)) >= 0 puts
-    the bracket's sign change at or below it."""
-    ic = rb.poly.as_integer()
-    lo, hi = rb.lo, rb.hi
-    lo_vs_s = _square_cmp(lo, s) if lo > 0 else -1
-    above = (lo_vs_s > 0 or (lo_vs_s == 0 and lo < hi)
-             or _sqrt_sign(ic, s) < 0)
-    if hi >= 0 and _square_cmp(hi, t) <= 0:
-        below = True
-    elif lo > 0 and _square_cmp(lo, t) >= 0:
-        below = False
-    else:
-        below = _sqrt_sign(ic, t) >= 0
-    return above and below
-
-
 def cmd_bounds(args) -> int:
     m = args.m
     if m < 5:
@@ -167,7 +122,7 @@ def cmd_bounds(args) -> int:
 
     def mark(rb: bounds.RootBracket, s: int, t: int) -> str:
         nonlocal failed
-        if _root_between_sqrts(rb, s, t):
+        if rb.root_between_sqrts(s, t):
             return "ok"
         failed = True
         return "FAIL"

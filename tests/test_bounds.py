@@ -15,10 +15,12 @@ from specbound.bounds import (
     E_DISPLAYED_CASE,
     IntPoly,
     PENDANT_SITES,
+    RootBracket,
+    _bracket_form,
     _dyadic_sign,
-    _float_form,
     _root_window,
-    _sign,
+    _signed_value,
+    _sqrt_sign,
     beta,
     beta_bracket,
     bisect_largest_root,
@@ -142,6 +144,12 @@ class TestBeta:
         with pytest.raises(BoundsError):
             beta(4)
 
+    def test_start_ends_past_the_float_range(self):
+        with pytest.raises(BoundsError, match="float range"):
+            beta_bracket(10 ** 400)
+        with pytest.raises(BoundsError, match="float range"):
+            star_plus_lambda(10 ** 400)
+
 
 class TestGamma:
     def test_gamma7_is_two_exactly(self):
@@ -173,6 +181,63 @@ class TestGamma:
     def test_domain(self):
         with pytest.raises(BoundsError):
             gamma(6)
+
+    def test_start_ends_past_the_float_range(self):
+        with pytest.raises(BoundsError, match="float range"):
+            gamma_bracket(10 ** 400)
+
+
+class TestRootBetweenSqrts:
+    """`RootBracket.root_between_sqrts(s, t)` decides sqrt(s) < r <= sqrt(t)
+    in integers, for the root r the bracket certifies."""
+
+    def test_exact_hits(self):
+        beta5, gamma7 = beta_bracket(5), gamma_bracket(7)
+        assert beta5.lo == beta5.hi == gamma7.lo == gamma7.hi == 2.0
+        assert beta5.root_between_sqrts(3, 4)  # beta(5) = 2 = sqrt(4)
+        assert not beta5.root_between_sqrts(4, 5)  # not above sqrt(4)
+        assert gamma7.root_between_sqrts(3, 4)
+        assert not gamma7.root_between_sqrts(2, 3)  # above sqrt(3)
+
+    def test_bracket_ends_on_square_roots(self):
+        x_minus_3 = RootBracket(2.0, 3.5, IntPoly((-3, 1)))
+        assert x_minus_3.root_between_sqrts(4, 16)  # lo = sqrt(4) < r
+        assert x_minus_3.root_between_sqrts(1, 9)  # r = sqrt(9) inside
+        assert not x_minus_3.root_between_sqrts(1, 8)
+        assert not x_minus_3.root_between_sqrts(9, 16)
+        x2_minus_5 = RootBracket(2.0, 2.5, IntPoly((-5, 0, 1)))
+        assert not x2_minus_5.root_between_sqrts(1, 4)  # lo = sqrt(4) < r
+        x2_minus_7 = RootBracket(2.5, 3.0, IntPoly((-7, 0, 1)))
+        assert x2_minus_7.root_between_sqrts(6, 9)  # hi = sqrt(9) >= r
+
+    @pytest.mark.parametrize("m", [7, 100, 284281998, 10 ** 12])
+    def test_gamma_outside_beta_window(self, m):
+        assert not gamma_bracket(m).root_between_sqrts(m - 2, m - 1)
+
+    @pytest.mark.parametrize("bracket, m, window", [
+        (gamma_bracket, 284281998, (4, 3)),
+        (beta_bracket, 10 ** 12, (2, 1)),
+        (gamma_bracket, 10 ** 12, (4, 3)),
+    ])
+    def test_float_square_roots_cannot_decide(self, bracket, m, window):
+        """The left end is the rounded sqrt(s) itself, so floats cannot
+        tell whether the root lies above sqrt(s); integers can."""
+        s, t = m - window[0], m - window[1]
+        rb = bracket(m)
+        assert rb.lo == math.sqrt(s)
+        assert rb.root_between_sqrts(s, t)
+
+    def test_sqrt_sign_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(11)
+        cases = [((-1, 0, 1), 1), ((-2, 0, 1), 2), ((0, 1), 0), ((3,), 5)]
+        for _ in range(300):
+            coeffs = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 8)))
+            cases.append((coeffs, rng.choice([0, 1, 2, 3, 4, 8, 9, 50])))
+        for coeffs, s in cases:
+            value = sum(c * sympy.sqrt(s) ** i for i, c in enumerate(coeffs))
+            assert _sqrt_sign(coeffs, s) == sympy.sign(sympy.expand(value)), \
+                (coeffs, s)
 
 
 class TestBisection:
@@ -333,11 +398,12 @@ class TestCertifiedSigns:
     def test_left_end_farther_from_zero(self, poly, root, lo, hi):
         """|lo| > |hi|: the guard must bound |x| by |lo|, not by |hi|."""
         ic = poly.as_integer()
-        fc, guard = _float_form(ic, lo, hi)
+        fc, guard = _bracket_form(ic, lo, hi)[:2]
         for k in range(-2000, 2001):
             x = root + k * 1e-4
             if lo <= x <= hi:
-                assert _sign(ic, fc, guard, x) == _dyadic_sign(ic, x), x
+                assert _signed_value(ic, fc, guard, x)[1] == \
+                    _dyadic_sign(ic, x), x
         rb = bisect_largest_root(poly, lo, hi)
         assert (rb.lo, rb.hi) == exact_bisect(poly, lo, hi)
         assert rb.lo <= root <= rb.hi
@@ -352,14 +418,14 @@ class TestCertifiedSigns:
             for bracket, poly, lo, hi in start_brackets(m):
                 rb = bracket(m)
                 ic = poly.as_integer()
-                fc, guard = _float_form(ic, lo, hi)
+                fc, guard = _bracket_form(ic, lo, hi)[:2]
                 for end in (rb.lo, rb.hi):
                     for way in (-math.inf, math.inf):
                         x = end
                         for _ in range(64):
                             x = math.nextafter(x, way)
                             before = len(exact_calls)
-                            s = _sign(ic, fc, guard, x)
+                            s = _signed_value(ic, fc, guard, x)[1]
                             if len(exact_calls) == before:
                                 float_decided += 1
                                 assert s == _dyadic_sign(ic, x), (m, x)

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import os
-import random
 import subprocess
 import sys
 
@@ -9,7 +8,7 @@ import pytest
 
 import specbound
 from specbound import bounds, certify
-from specbound.cli import _sqrt_sign, main, parse_construction
+from specbound.cli import main, parse_construction
 from specbound.graphs import (
     canonical_form,
     complete_bipartite,
@@ -25,6 +24,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_module(*argv):
+    """`python -m specbound ARGV` in a child process, importing this
+    checkout's package."""
+    src = os.path.dirname(os.path.dirname(specbound.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "specbound", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 class TestConstructionLanguage:
@@ -125,26 +135,15 @@ class TestCommands:
         lines = out.splitlines()
         assert [l.startswith("gamma") for l in lines if "FAIL" in l] == [True]
 
-    def test_sqrt_sign_matches_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        rng = random.Random(11)
-        cases = [((-1, 0, 1), 1), ((-2, 0, 1), 2), ((0, 1), 0), ((3,), 5)]
-        for _ in range(300):
-            coeffs = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 8)))
-            cases.append((coeffs, rng.choice([0, 1, 2, 3, 4, 8, 9, 50])))
-        for coeffs, s in cases:
-            value = sum(c * sympy.sqrt(s) ** i for i, c in enumerate(coeffs))
-            assert _sqrt_sign(coeffs, s) == sympy.sign(sympy.expand(value)), \
-                (coeffs, s)
+    def test_bounds_past_the_float_range_exit_1(self):
+        out = run_module("bounds", str(10 ** 400))
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: ")
+        assert out.stdout == ""
 
     def test_module_entry_point(self):
-        src = os.path.dirname(os.path.dirname(specbound.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-m", "specbound", "bounds", "9"],
-                             capture_output=True, text=True, timeout=60,
-                             env=env)
+        out = run_module("bounds", "9")
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("m = 9\n")
         assert out.stdout.count(": ok") == 2
