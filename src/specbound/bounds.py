@@ -58,9 +58,6 @@ from .spectra import IntPoly
 BISECT_WIDTH = 1e-12
 _EXACT_INT = 2 ** 53  # integers of smaller magnitude are exact doubles
 _UNIT_ROUNDOFF = 2.0 ** -53
-# a rounded-up square root is within half a float of the exact one, so one
-# step reaches below it; the bound only keeps a wrong bracket from looping
-_LEFT_END_STEPS = 4
 # from the regula-falsi point Newton reaches the guard in one step for 95%
 # of the beta/gamma brackets at m <= 10^4 and in three at most; the cap only
 # bounds the work on a bracket where it does not converge
@@ -376,27 +373,28 @@ def bisect_largest_root(poly: IntPoly, lo: float, hi: float) -> RootBracket:
     puts the root strictly inside (a, b).  The midpoints, the stopping rule, the exact-root return and so the
     bracket are those of the bisection that evaluates every sign exactly.
 
-    An analytic left end such as a rounded square root can land above the
-    largest root at large m, so a left end whose sign is not negative
-    steps down one float at a time, at most _LEFT_END_STEPS times; a left
-    end that already is costs no sign beyond the bisection's own.
+    An analytic end such as a rounded square root can land on the wrong
+    side of the largest root at large m, so a left end whose sign is not
+    negative steps down one float, and a right end whose sign is negative
+    steps up one.  One step suffices for a correctly rounded square root,
+    which is within half a float of the exact one; the guard covers both
+    steps, and ends that need none cost no sign beyond the bisection's own.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise BoundsError(f"bracket [{lo}, {hi}] has an end that is not finite")
     if lo > hi:
         raise BoundsError(f"bracket [{lo}, {hi}] is reversed")
     ic = poly.as_integer()
-    floor = lo  # the sign bound covers every left end the steps can reach
-    for _ in range(_LEFT_END_STEPS):
-        floor = math.nextafter(floor, -math.inf)
-    fc, guard, slope = _bracket_form(ic, floor, hi)
+    fc, guard, slope = _bracket_form(ic, math.nextafter(lo, -math.inf),
+                                     math.nextafter(hi, math.inf))
     v_lo, s_lo = _signed_value(ic, fc, guard, lo)
-    for _ in range(_LEFT_END_STEPS):
-        if s_lo < 0:
-            break
+    if s_lo >= 0:
         lo = math.nextafter(lo, -math.inf)
         v_lo, s_lo = _signed_value(ic, fc, guard, lo)
     v_hi, s_hi = _signed_value(ic, fc, guard, hi)
+    if s_hi < 0:
+        hi = math.nextafter(hi, math.inf)
+        v_hi, s_hi = _signed_value(ic, fc, guard, hi)
     if s_hi == 0:
         return RootBracket(hi, hi, poly)
     if not (s_lo < 0 < s_hi):

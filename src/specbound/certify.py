@@ -792,6 +792,8 @@ def _nosal_equality(m: int) -> set[str]:
 def certify_nosal(m: int, jobs: int = 1) -> CertificationReport:
     """Triangle-free with m edges: lambda <= sqrt(m), equality exactly at the
     complete bipartite graphs."""
+    if m < 1:
+        raise GraphError("needs m >= 1")
     return _lambda_certify(
         "nosal", m, ClassFilter(triangle_free=True), math.sqrt(m),
         _nosal_equality(m), spectra.spectral_radius, jobs,
@@ -849,6 +851,8 @@ def certify_lnw_sum(m: int, jobs: int = 1) -> CertificationReport:
 def certify_thm15(m: int, jobs: int = 1) -> CertificationReport:
     """Triangle-free non-bipartite: lambda <= sqrt(m-1), equality only at
     (m, G) = (5, C_5)."""
+    if m < 1:
+        raise GraphError("needs m >= 1")
     filt = ClassFilter(triangle_free=True, non_bipartite=True)
     expected = {canonical_form(sk(2, 2)).decode()} if m == 5 else set()
     return _lambda_certify("thm15", m, filt, math.sqrt(m - 1), expected,

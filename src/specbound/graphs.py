@@ -631,94 +631,68 @@ def _canon_component(vs: Sequence[int], masks: Sequence[int]
         best_cols[:t], the only case in which best_cols bounds the search
         (the first leaf below a greater prefix replaces the best)."""
         nonlocal best_cols, best_perm, found
-        # positions with a single candidate are placed in this frame, and
-        # undone on the way out
-        forced: list[tuple[int, int]] = []
-        while True:
-            if t == n:
-                if not eq:
-                    best_cols = cur_cols.copy()
-                    best_perm = cur_perm.copy()
-                    found += 1
-                    leaf_maps.clear()  # maps between worse leaves
-                else:
-                    p = bytearray(range(size))
-                    for b, c in zip(best_perm, cur_perm):
-                        p[b] = c
-                    leaf_maps.append(bytes(p))
-                break
-            bound = best_cols[t] if eq else -1
-            avail = pos_class[t] & unplaced
-            cands = []
-            if avail & (avail - 1):
-                seen_n: dict[int, int] = {}
-                seen_a: dict[int, int] = {}
-                while avail:
-                    v = (avail & -avail).bit_length() - 1
-                    avail &= avail - 1
-                    code = codes[v]
-                    if code < bound:
-                        continue
-                    # candidates that are twins of an already-listed one
-                    # lead to the same subtree maximum (swap them by an
-                    # automorphism), so skip
-                    key_n = code << shift | (masks[v] & unplaced)
-                    key_a = code << shift | ((masks[v] | 1 << v) & unplaced)
-                    w = seen_n.get(key_n, seen_a.get(key_a, -1))
-                    if w >= 0:
-                        rw, rv = root(w), root(v)
-                        if rw != rv:
-                            twin_root[rv] = rw
-                            twins.append((w, v))
-                        continue
-                    seen_n[key_n] = v
-                    seen_a[key_a] = v
-                    cands.append((code, v))
+        if t == n:
+            if not eq:
+                best_cols = cur_cols.copy()
+                best_perm = cur_perm.copy()
+                found += 1
+                leaf_maps.clear()  # maps between worse leaves
             else:
-                v = avail.bit_length() - 1
-                if codes[v] >= bound:
-                    cands.append((codes[v], v))
-            if not cands:
-                break
-            bit = 1 << (n - 1 - t)
-            if len(cands) > 1:
-                cands.sort(reverse=True)
-                for code, v in cands:
-                    if code < bound:
-                        break  # below the best found under a sibling
-                    cur_cols[t] = code
-                    cur_perm[t] = v
-                    rest = unplaced & ~(1 << v)
-                    nb = masks[v] & rest
-                    r = nb
-                    while r:
-                        w = (r & -r).bit_length() - 1
-                        r &= r - 1
-                        codes[w] |= bit
-                    before = found
-                    dfs(t + 1, rest, code == bound)
-                    if found != before:
-                        bound = best_cols[t]  # the new best shares this prefix
-                    r = nb
-                    while r:
-                        w = (r & -r).bit_length() - 1
-                        r &= r - 1
-                        codes[w] ^= bit
-                break
-            code, v = cands[0]
-            eq = code == bound
+                p = bytearray(range(size))
+                for b, c in zip(best_perm, cur_perm):
+                    p[b] = c
+                leaf_maps.append(bytes(p))
+            return
+        bound = best_cols[t] if eq else -1
+        avail = pos_class[t] & unplaced
+        cands = []
+        if avail & (avail - 1):
+            seen_n: dict[int, int] = {}
+            seen_a: dict[int, int] = {}
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= avail - 1
+                code = codes[v]
+                if code < bound:
+                    continue
+                # candidates that are twins of an already-listed one lead
+                # to the same subtree maximum (swap them by an
+                # automorphism), so skip
+                key_n = code << shift | (masks[v] & unplaced)
+                key_a = code << shift | ((masks[v] | 1 << v) & unplaced)
+                w = seen_n.get(key_n, seen_a.get(key_a, -1))
+                if w >= 0:
+                    rw, rv = root(w), root(v)
+                    if rw != rv:
+                        twin_root[rv] = rw
+                        twins.append((w, v))
+                    continue
+                seen_n[key_n] = v
+                seen_a[key_a] = v
+                cands.append((code, v))
+            cands.sort(reverse=True)
+        else:
+            v = avail.bit_length() - 1
+            if codes[v] >= bound:
+                cands.append((codes[v], v))
+        bit = 1 << (n - 1 - t)
+        for code, v in cands:
+            if code < bound:
+                break  # below the best found under a sibling
             cur_cols[t] = code
             cur_perm[t] = v
-            unplaced &= ~(1 << v)
-            nb = masks[v] & unplaced
+            rest = unplaced & ~(1 << v)
+            nb = masks[v] & rest
             r = nb
             while r:
                 w = (r & -r).bit_length() - 1
                 r &= r - 1
                 codes[w] |= bit
-            forced.append((nb, bit))
-            t += 1
-        for r, bit in forced:
+            before = found
+            dfs(t + 1, rest, code == bound)
+            if found != before:
+                bound = best_cols[t]  # the new best shares this prefix
+            r = nb
             while r:
                 w = (r & -r).bit_length() - 1
                 r &= r - 1

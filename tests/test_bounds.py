@@ -274,6 +274,21 @@ class TestBisection:
                 bisect_largest_root(p, lo, hi)
         assert not exact_calls
 
+    def test_each_end_steps_one_float_outward(self):
+        """x^2 - 2 with ends one float on the wrong side of sqrt(2): each
+        steps once, outward.  An end two floats off stays rejected."""
+        root = math.sqrt(2)  # the rounded root lies above sqrt(2)
+        below = math.nextafter(root, -math.inf)
+        p = IntPoly((-2, 0, 1))
+        rb = bisect_largest_root(p, root, 2.0)  # lo steps down to below
+        assert rb.lo == below and rb.verify_signs_exact()
+        rb = bisect_largest_root(p, 1.0, below)  # hi steps up to root
+        assert rb.hi == root and rb.verify_signs_exact()
+        with pytest.raises(BoundsError, match="signs"):
+            bisect_largest_root(p, 1.0, math.nextafter(below, -math.inf))
+        with pytest.raises(BoundsError, match="signs"):
+            bisect_largest_root(p, math.nextafter(root, math.inf), 2.0)
+
     def test_fraction_polynomial_bracket(self):
         p = f_poly(4, 10)  # sign change on [sqrt(8), sqrt(10)]
         lo, hi = math.sqrt(8), math.sqrt(10)
@@ -553,8 +568,9 @@ def large_m_sample(seed: int, per_decade: int) -> list[int]:
 
 class TestLargeMStartBrackets:
     """Near m = 10^8 (gamma) and 10^11 (beta) the rounded analytic left end
-    sqrt(m-4) or sqrt(m-2) can land above the root; the bracket functions
-    step it down until its sign is proven negative."""
+    sqrt(m-4) or sqrt(m-2) can land above the root, and from about 10^15
+    both ends can round to one float below it; the bracket functions step
+    each end one float outward when its sign is wrong."""
 
     @pytest.mark.parametrize("bracket", [beta_bracket, gamma_bracket])
     def test_signs_verify_exactly(self, bracket):
@@ -562,6 +578,19 @@ class TestLargeMStartBrackets:
             rb = bracket(m)
             assert rb.lo < rb.hi, m
             assert rb.verify_signs_exact(), m
+
+    @pytest.mark.parametrize("bracket, window", [(beta_bracket, (2, 1)),
+                                                 (gamma_bracket, (4, 3))])
+    def test_every_decade_up_to_1e29(self, bracket, window):
+        """About half of these m failed with signs (-1, -1) while only the
+        left end stepped."""
+        rng = random.Random(47)
+        for e in range(12, 29):
+            for _ in range(10):
+                m = rng.randrange(10 ** e, 10 ** (e + 1))
+                rb = bracket(m)
+                assert rb.verify_signs_exact(), m
+                assert rb.root_between_sqrts(m - window[0], m - window[1]), m
 
     @pytest.mark.parametrize("bracket, family", [(beta_bracket, z_poly),
                                                  (gamma_bracket, l_poly)])

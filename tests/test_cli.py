@@ -118,10 +118,11 @@ class TestCommands:
                  for l in out.splitlines() if "=" in l and "omitted" not in l}
         assert lines["beta(m)"] - lines["sqrt(m-2)"] < 1e-2
 
-    @pytest.mark.parametrize("m", [284281998, 10 ** 12])
+    @pytest.mark.parametrize("m", [284281998, 10 ** 12, 7442236220484276])
     def test_bounds_decided_exactly_at_large_m(self, capsys, m):
         """At these m the float square roots cannot separate the root from
-        the window's ends; the checks are decided in integers."""
+        the window's ends; the checks are decided in integers.  At the last
+        m, sqrt(m-2) and sqrt(m-1) both round to one float below beta(m)."""
         code, out, _ = run(capsys, "bounds", str(m))
         assert code == 0
         assert "FAIL" not in out
@@ -167,6 +168,13 @@ class TestCommands:
         code, _, err = run(capsys, "certify", "zhai-shu", "14")
         assert code == 1
         assert "budget" in err
+
+    @pytest.mark.parametrize("argv", [("certify", "nosal", "-2"),
+                                      ("certify", "thm15", "0")])
+    def test_certify_m_below_one_exit_1(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "m >= 1" in err
 
     @pytest.mark.parametrize("argv", [
         ("certify", "zhai-shu", "7", "--jobs", "0"),

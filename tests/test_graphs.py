@@ -520,6 +520,26 @@ class TestCanonicalForm:
         rng.shuffle(perm)
         assert canonical_form(g.relabel(perm)) == form
 
+    @pytest.mark.parametrize("name", ["P40", "C40", "seeded"])
+    def test_relabeling_invariance_at_the_size_limit(self, name):
+        """n = CANONICAL_MAX_N: one search frame per position, the deepest
+        recursion the labelling reaches."""
+        n = CANONICAL_MAX_N
+        rng = random.Random(n)
+        if name == "P40":
+            g = path(n)
+        elif name == "C40":
+            g = cycle(n)
+        else:
+            g = random_graph(rng, n, 0.1)
+            while not is_connected(g):
+                g = random_graph(rng, n, 0.1)
+        form = canonical_form(g)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)) == form
+
     def test_size_limit(self):
         top = path(CANONICAL_MAX_N)
         assert canonical_form(top) == to_graph6(canonical_graph(top)).encode(
@@ -546,16 +566,31 @@ def orbit_partition(items, act) -> set[frozenset]:
     return {frozenset(act(x)) for x in items}
 
 
-class TestAutomorphismGenerators:
-    """automorphism_generators(g) against all n! permutations (n <= 7)."""
+def networkx_automorphisms(g: Graph, limit: int) -> set[tuple[int, ...]]:
+    """Aut(g) from networkx's VF2 matcher, or more than `limit` of its
+    elements when the group is larger."""
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges)
+    group = set()
+    for iso in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
+        group.add(tuple(iso[v] for v in range(g.n)))
+        if len(group) > limit:
+            break
+    return group
 
-    def check(self, g: Graph) -> None:
+
+class TestAutomorphismGenerators:
+    """automorphism_generators(g) against all n! permutations (n <= 7), and
+    against networkx's isomorphism search beyond."""
+
+    def check(self, g: Graph, group: set | None = None) -> None:
         gens = automorphism_generators(g)
         edges = set(g.edges)
         for p in gens:
             assert sorted(p) == list(range(g.n))
             assert {_moved(p, e) for e in g.edges} == edges
-        group = brute_force_automorphisms(g)
+        if group is None:
+            group = brute_force_automorphisms(g)
         assert generated_group(gens, g.n) == group
         non_edges = [e for e in combinations(range(g.n), 2) if e not in edges]
         for items in (range(g.n), non_edges):
@@ -593,6 +628,20 @@ class TestAutomorphismGenerators:
     def test_seeded_graphs(self):
         for g in seeded_graphs(9, 40, 7):
             self.check(g)
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_seeded_graphs_past_brute_force(self, n):
+        """Groups of at most 7! elements; the generators are automorphisms,
+        so they cannot generate a larger group than networkx lists."""
+        rng = random.Random(n)
+        checked = 0
+        for _ in range(12):
+            g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
+            group = networkx_automorphisms(g, 5040)
+            if len(group) <= 5040:
+                self.check(g, group)
+                checked += 1
+        assert checked >= 6
 
     @given(unions_st(max_n=7))
     def test_unions_with_isolated_vertices(self, g):
