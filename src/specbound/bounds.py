@@ -429,7 +429,7 @@ def _sqrt_end(k: int) -> float:
                           "range") from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def beta_bracket(m: int) -> RootBracket:
     """Certified enclosure of beta(m) inside (sqrt(m-2), sqrt(m-1)];
     the right end is a root exactly at m = 5 (SK_{2,2} = C_5)."""
@@ -443,7 +443,7 @@ def beta(m: int) -> float:
     return beta_bracket(m).value
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def gamma_bracket(m: int) -> RootBracket:
     """Certified enclosure of gamma(m) inside (sqrt(m-4), sqrt(m-3)];
     the right end is a root exactly at m = 7 (S_3(K_{2,2}) = C_7)."""

@@ -31,6 +31,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`, checked at parse
+    time so that a bad value prints nothing but the usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_JOBS = _int_at_least(1)
+_PRECISION = _int_at_least(0)
+
+
 def parse_construction(tokens: list[str]) -> G.Graph:
     if not tokens:
         raise G.GraphError("empty construction")
@@ -222,10 +239,10 @@ def _sweep_plan() -> list[tuple[str, int]]:
 
 
 def cmd_sweep(args) -> int:
-    print(f"{'theorem':<10} {'param':>5} {'classes':>8} {'max':>13} "
-          f"{'bound':>13} {'verdict':<22} {'secs':>6}")
     if args.json_dir:
         args.json_dir.mkdir(parents=True, exist_ok=True)
+    print(f"{'theorem':<10} {'param':>5} {'classes':>8} {'max':>13} "
+          f"{'bound':>13} {'verdict':<22} {'secs':>6}")
     bad = 0
     t0 = time.perf_counter()
     for theorem, param in _sweep_plan():
@@ -267,7 +284,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="eigenvalues and trace identities")
     add_graph_input(p)
-    p.add_argument("--precision", type=int, default=6)
+    p.add_argument("--precision", type=_PRECISION, default=6)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("charpoly", help="exact characteristic polynomial")
@@ -276,7 +293,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="beta(m), gamma(m) and bracket checks")
     p.add_argument("m", type=int)
-    p.add_argument("--precision", type=int, default=10)
+    p.add_argument("--precision", type=_PRECISION, default=10)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("construct", help="emit a construction as graph6")
@@ -290,13 +307,13 @@ def build_parser() -> _Parser:
     p.add_argument("theorem", choices=sorted(_CERTIFIERS) + ["booksize"])
     p.add_argument("param", type=int, help="edge count m (vertex count for mantel/erdos)")
     p.add_argument("--k", type=int, default=3, help="odd-girth parameter for conj51")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_JOBS, default=1)
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("sweep", help="every certifier at every parameter in "
                        "budget, one row per check")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_JOBS, default=1)
     p.add_argument("--json-dir", type=pathlib.Path, metavar="DIR",
                    help="also write each report as DIR/<theorem>-<param>.json")
     p.set_defaults(fn=cmd_sweep)
@@ -308,20 +325,20 @@ def build_parser() -> _Parser:
     p.add_argument("--c5-free", action="store_true")
     p.add_argument("--non-bipartite", action="store_true")
     p.add_argument("--odd-girth-min", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_JOBS, default=1)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("explore", help="exploratory surveys (booksize, conj51)")
     psub = p.add_subparsers(dest="survey", required=True)
     pb = psub.add_parser("booksize")
     pb.add_argument("param", type=int)
-    pb.add_argument("--jobs", type=int, default=1)
+    pb.add_argument("--jobs", type=_JOBS, default=1)
     pb.add_argument("--json", metavar="PATH")
     pb.set_defaults(fn=cmd_certify, theorem="booksize")
     pc = psub.add_parser("conj51")
     pc.add_argument("param", type=int)
     pc.add_argument("--k", type=int, default=3)
-    pc.add_argument("--jobs", type=int, default=1)
+    pc.add_argument("--jobs", type=_JOBS, default=1)
     pc.add_argument("--json", metavar="PATH")
     pc.set_defaults(fn=cmd_certify, theorem="conj51")
 
@@ -333,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (G.GraphError, bounds.BoundsError, ValueError) as exc:
+    except (G.GraphError, bounds.BoundsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,13 +1,17 @@
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import specbound
 from specbound import bounds
 from specbound.bounds import (
     BISECT_WIDTH,
@@ -185,6 +189,40 @@ class TestGamma:
     def test_start_ends_past_the_float_range(self):
         with pytest.raises(BoundsError, match="float range"):
             gamma_bracket(10 ** 400)
+
+
+class TestBracketCache:
+    """The bracket caches keep the most recent values of m, not every m a
+    process has asked for."""
+
+    def test_scan_over_m_holds_no_bracket_per_m(self):
+        ms = range(3 * 10 ** 7, 3 * 10 ** 7 + 3000)  # asked for nowhere else
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for m in ms:
+                beta(m)
+                gamma(m)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20, held
+
+    def test_every_cache_in_the_package_is_bounded(self):
+        modules = [specbound] + [
+            importlib.import_module(f"specbound.{info.name}")
+            for info in pkgutil.iter_modules(specbound.__path__)
+            if info.name != "__main__"  # importing it runs the CLI
+        ]
+        sizes = {
+            (module.__name__, name): obj.cache_info().maxsize
+            for module in modules
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info")
+        }
+        assert {"beta_bracket", "gamma_bracket", "eigenvalues",
+                "_canonical_labelling"} <= {name for _, name in sizes}
+        assert all(size is not None for size in sizes.values()), sizes
 
 
 class TestRootBetweenSqrts:

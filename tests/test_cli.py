@@ -21,7 +21,12 @@ from specbound.graphs import (
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of `specbound ARGV`; a usage error
+    (SystemExit from the parser) gives its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -180,11 +185,44 @@ class TestCommands:
         ("certify", "zhai-shu", "7", "--jobs", "0"),
         ("enumerate", "5", "--jobs", "-1"),
         ("explore", "booksize", "3", "--jobs", "0"),
+        ("certify", "mantel", "6", "--jobs", "0"),
+        ("certify", "erdos", "6", "--jobs", "0"),
+        ("sweep", "--jobs", "0"),
+        ("explore", "conj51", "9", "--jobs", "0"),
     ])
     def test_jobs_below_one_exit_1(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
+        # rejected while parsing: nothing runs and nothing reaches stdout
+        code, out, err = run(capsys, *argv)
         assert code == 1
-        assert "jobs" in err
+        assert out == ""
+        assert "--jobs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "9", "--precision", "-1"),
+        ("spectrum", "--construct", "C5", "--precision", "-2"),
+    ])
+    def test_precision_below_zero_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "--precision" in err
+
+    def test_zero_precision_accepted(self, capsys):
+        code, out, _ = run(capsys, "bounds", "9", "--precision", "0")
+        assert code == 0
+        assert "sqrt(m)   = 3\n" in out
+
+    def test_file_system_errors_exit_1_without_traceback(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        sweep = run_module("sweep", "--json-dir", str(taken))
+        report = run_module("certify", "zhai-shu", "7", "--json",
+                            str(tmp_path / "missing" / "x.json"))
+        assert sweep.stdout == ""  # the directory is made before the header
+        for proc in (sweep, report):
+            assert proc.returncode == 1, proc.args
+            assert proc.stderr.startswith("error:"), proc.args
+            assert "Traceback" not in proc.stderr, proc.args
 
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
