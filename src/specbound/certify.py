@@ -41,13 +41,14 @@ two of them constructions), so it asks only that a construction attains it.
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
 import os
 import time
 from bisect import bisect_right
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -532,37 +533,35 @@ def _roots(growth: _Growth, k: int) -> list[tuple[bytes, Graph]]:
     return [(canonical_form(g), g) for g in roots]
 
 
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
+@lru_cache(maxsize=1)
 def _start_pool(jobs: int):
-    """A process pool of `jobs` workers.  `concurrent.futures` is imported
-    here, so that importing specbound, or a jobs=1 run, never loads
-    `multiprocessing`."""
+    """The process's one pool, of `jobs` workers (another count drops it).
+    `concurrent.futures` is imported here, so that importing specbound, or
+    a jobs=1 run, never loads `multiprocessing`."""
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(max_workers=jobs)
 
 
+# drop the pool at exit while `multiprocessing` is still loaded
+atexit.register(_start_pool.cache_clear)
+
+
 def _levels_up_to(m: int, growth: _Growth, jobs: int = 1
                   ) -> list[dict[bytes, Graph]]:
-    """Levels 0..m of the growth, built on the ones already stored."""
+    """Levels 0..m of the growth, built on the ones already stored; the
+    pool grows each level that has at least 4 parents per job."""
     levels = _LEVELS.setdefault(growth, [{}])
-    with ExitStack() as stack:
-        pool = None  # started at the first level large enough to share
-        while len(levels) <= m:
-            k = len(levels)
-            parents = list(levels[-1].items())
-            if jobs > 1 and len(parents) >= 4 * jobs:
-                if pool is None:
-                    pool = stack.enter_context(_start_pool(jobs))
-                size = max(1, len(parents) // (4 * jobs))
-                blocks = list(pool.map(_grow, repeat(growth),
-                                       _chunks(parents, size)))
-            else:
-                blocks = [_grow(growth, parents)]
-            blocks.append(_roots(growth, k))
-            levels.append(_union(chain.from_iterable(blocks)))
+    while len(levels) <= m:
+        k = len(levels)
+        parents = list(levels[-1].items())
+        if jobs > 1 and len(parents) >= 4 * jobs:
+            blocks = list(_start_pool(jobs).map(
+                _grow, repeat(growth), ([p] for p in parents),
+                chunksize=len(parents) // (4 * jobs)))
+        else:
+            blocks = [_grow(growth, parents)]
+        blocks.append(_roots(growth, k))
+        levels.append(_union(chain.from_iterable(blocks)))
     return levels
 
 

@@ -144,20 +144,22 @@ def cmd_bounds(args) -> int:
         failed = True
         return "FAIL"
 
-    rb = bounds.beta_bracket(m)
+    # every bracket before any output, so that an error leaves stdout empty
+    windows = [(name, d, bracket(m)) for name, d, bracket in
+               (("beta", 1, bounds.beta_bracket),
+                ("gamma", 3, bounds.gamma_bracket)) if m >= d + 4]
     print(f"m = {m}")
     print(f"sqrt(m)   = {m ** 0.5:.{p}f}")
-    print(f"sqrt(m-1) = {(m - 1) ** 0.5:.{p}f}")
-    print(f"sqrt(m-2) = {(m - 2) ** 0.5:.{p}f}")
-    print(f"beta(m)   = {rb.value:.{p}f}   "
-          f"sqrt(m-2) < beta <= sqrt(m-1): {mark(rb, m - 2, m - 1)}")
-    if m >= 7:
-        rb = bounds.gamma_bracket(m)
-        print(f"sqrt(m-3) = {(m - 3) ** 0.5:.{p}f}")
-        print(f"sqrt(m-4) = {(m - 4) ** 0.5:.{p}f}")
-        print(f"gamma(m)  = {rb.value:.{p}f}   "
-              f"sqrt(m-4) < gamma <= sqrt(m-3): {mark(rb, m - 4, m - 3)}")
-    else:
+    for name, d, rb in windows:
+        s, t = m - d - 1, m - d
+        print(f"sqrt(m-{d}) = {t ** 0.5:.{p}f}")
+        print(f"sqrt(m-{d + 1}) = {s ** 0.5:.{p}f}")
+        lo, hi = f"{rb.lo:.{p}f}", f"{rb.hi:.{p}f}"
+        # ends that print apart: the midpoint could print outside the window
+        value = f"= {rb.value:.{p}f}" if lo == hi else f"in ({lo}, {hi}]"
+        print(f"{name + '(m)':<9} {value}   sqrt(m-{d + 1}) < {name} <= "
+              f"sqrt(m-{d}): {mark(rb, s, t)}")
+    if m < 7:
         print("gamma(m)  omitted: defined for m >= 7")
     return 2 if failed else 0
 

@@ -61,15 +61,11 @@ def fresh_levels(monkeypatch):
 
 
 @pytest.fixture
-def pool_starts(monkeypatch):
-    """The worker count of every enumeration pool started during the test;
-    the pools themselves are real."""
-    real = certify._start_pool
-    starts = []
-
-    def counting_pool(jobs):
-        starts.append(jobs)
-        return real(jobs)
-
-    monkeypatch.setattr(certify, "_start_pool", counting_pool)
-    return starts
+def pool_starts():
+    """The number of enumeration pools started during the test, a callable.
+    The test starts without a pool, and the pool it leaves is dropped after
+    it, so that a pool forked under one test's monkeypatches never serves
+    another test; the pools themselves are real."""
+    certify._start_pool.cache_clear()
+    yield lambda: certify._start_pool.cache_info().misses
+    certify._start_pool.cache_clear()

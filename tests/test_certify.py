@@ -1,8 +1,10 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -194,12 +196,14 @@ class TestEnumeration:
         pooled = certify._levels_up_to(7, growth, jobs=2)
         fresh_levels()
         serial = certify._levels_up_to(7, growth)
-        assert pool_starts
+        assert pool_starts() == 1
         assert pooled == serial
 
     @pytest.mark.parametrize("non_bipartite", [False, True])
-    def test_one_pool_per_build(self, fresh_levels, pool_starts,
-                                non_bipartite):
+    def test_one_pool_per_process(self, fresh_levels, pool_starts,
+                                  non_bipartite):
+        # the pool lives as long as the level store: the second build
+        # reuses the pool that the first one started
         growth = ("odd" if non_bipartite else "edge", (True, False, None))
 
         def fresh_build(jobs):
@@ -207,9 +211,23 @@ class TestEnumeration:
             levels = certify._levels_up_to(9, growth, jobs)
             return [list(level.items()) for level in levels]
 
-        pooled = fresh_build(2)
-        assert len(pool_starts) == 1
-        assert pooled == fresh_build(1)
+        pooled = [fresh_build(2), fresh_build(2)]
+        assert pool_starts() == 1
+        assert pooled == [fresh_build(1)] * 2
+
+    def test_another_worker_count_replaces_the_pool(self, fresh_levels,
+                                                    pool_starts):
+        growth = ("edge", (True, False, None))
+        certify._levels_up_to(7, growth, jobs=2)
+        fresh_levels()
+        certify._levels_up_to(7, growth, jobs=3)
+        assert pool_starts() == 2
+        # the dropped pool's workers exit on their own, in the background
+        deadline = time.monotonic() + 30
+        while (len(multiprocessing.active_children()) > 3
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert len(multiprocessing.active_children()) == 3
 
     def test_one_reset_rebuilds_every_growth(self, monkeypatch,
                                              fresh_levels):
@@ -265,7 +283,7 @@ class TestEnumeration:
     def test_jobs_below_one_rejected(self, fresh_levels, pool_starts, jobs):
         with pytest.raises(GraphError, match="jobs"):
             list(enumerate_graphs(9, ClassFilter(triangle_free=True), jobs))
-        assert not pool_starts
+        assert pool_starts() == 0
         assert not certify._LEVELS
 
     def test_class_from_two_parents_is_an_error(self):
@@ -296,7 +314,7 @@ class TestEnumeration:
         pooled_levels = certify._LEVELS
         fresh_levels()
         serial = [canon6(g) for g in enumerate_graphs(9, filt)]
-        assert pool_starts
+        assert pool_starts() == 1
         assert pooled == serial
         assert pooled_levels == certify._LEVELS
 
@@ -319,17 +337,34 @@ class TestEnumeration:
         assert classes == 1 + 2 + 9 + 28 + 107 + 379
         assert len(calls) <= 4 * classes
 
-    def test_m7_counts_against_vertex_growth(self):
-        # the edge-indexed enumerator restricted to n <= 8 must agree with
-        # the vertex-indexed one on 8 vertices (the same acceptance rule
-        # over different pieces; tests/test_enumeration_oracle.py checks
-        # both against dictionary deduplication)
-        by_vertices = 0
-        for n in range(2, 9):
-            for g in graphs_on_vertices(n, triangle_free=False):
-                if g.m == 7 and all(g.degree(v) > 0 for v in range(g.n)):
-                    by_vertices += 1
-        by_edges = sum(1 for g in enumerate_graphs(7) if g.n <= 8)
+    def test_edge_and_vertex_levels_agree_cell_by_cell(self):
+        # the edge- and vertex-indexed growths apply the same acceptance
+        # rule to different pieces (tests/test_enumeration_oracle.py checks
+        # both against dictionary deduplication), so each (m, n) cell holds
+        # the same classes from either side: the triangle-free connected
+        # ones for m <= 10 and 2 <= n <= 8, and the unrestricted ones with
+        # no isolated vertex for m = 7
+        def cells(graphs):
+            out = {}
+            for g in graphs:
+                out.setdefault((g.m, g.n), set()).add(canonical_form(g))
+            return out
+
+        conn = ClassFilter(triangle_free=True, connected=True)
+        by_edges = cells(g for m in range(1, 11)
+                         for g in enumerate_graphs(m, conn) if g.n <= 8)
+        by_vertices = cells(g for n in range(2, 9)
+                            for g in graphs_on_vertices(n, connected=True)
+                            if g.m <= 10)
+        assert by_edges == by_vertices
+        assert len(by_edges) == 21
+        assert sum(map(len, by_edges.values())) == 278
+
+        by_edges = cells(g for g in enumerate_graphs(7) if g.n <= 8)
+        by_vertices = cells(
+            g for n in range(2, 9)
+            for g in graphs_on_vertices(n, triangle_free=False)
+            if g.m == 7 and all(g.degree(v) > 0 for v in range(g.n)))
         assert by_edges == by_vertices
 
 

@@ -148,6 +148,22 @@ class TestCommands:
         assert out.stderr.startswith("error: ")
         assert out.stdout == ""
 
+    def test_bounds_prints_ends_that_print_apart(self, capsys):
+        # the bracket is two adjacent floats that print apart at 10
+        # decimals, and its midpoint rounds to the end above sqrt(m-1)
+        code, out, _ = run(capsys, "bounds", "7442236220484276")
+        assert code == 0
+        assert [l for l in out.splitlines() if l.startswith("beta")] == [
+            "beta(m)   in (86268396.4177164584, 86268396.4177164733]   "
+            "sqrt(m-2) < beta <= sqrt(m-1): ok"]
+
+    def test_pooled_certify_entry_point(self):
+        # the pool is dropped at exit, with nothing on stderr
+        out = run_module("certify", "nosal", "9", "--jobs", "2")
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert "HOLDS" in out.stdout
+
     def test_module_entry_point(self):
         out = run_module("bounds", "9")
         assert out.returncode == 0, out.stderr
@@ -325,9 +341,7 @@ class TestSweep:
         # an empty level store, so that --jobs 2 enumerates through the pool
         fresh_levels()
         run(capsys, "sweep", "--jobs", "2", "--json-dir", str(pooled))
-        # one pool per certifier call that builds a level with at least 4
-        # parents per job: 3 calls on this plan (4 when the certifiers built
-        # the full levels); the bipartite levels that the non-bipartite
-        # counts read are built without one
-        assert 0 < len(pool_starts) <= 4
+        # one pool for the process, started at the first level with at
+        # least 4 parents per job and kept for every later one
+        assert pool_starts() == 1
         assert self.reports(pooled) == self.reports(serial)
