@@ -555,9 +555,14 @@ def _levels_up_to(m: int, growth: _Growth, jobs: int = 1
         k = len(levels)
         parents = list(levels[-1].items())
         if jobs > 1 and len(parents) >= 4 * jobs:
-            blocks = list(_start_pool(jobs).map(
-                _grow, repeat(growth), ([p] for p in parents),
-                chunksize=len(parents) // (4 * jobs)))
+            from concurrent.futures.process import BrokenProcessPool
+            try:
+                blocks = list(_start_pool(jobs).map(
+                    _grow, repeat(growth), ([p] for p in parents),
+                    chunksize=len(parents) // (4 * jobs)))
+            except BrokenProcessPool:
+                _start_pool.cache_clear()  # the next build starts a new pool
+                raise
         else:
             blocks = [_grow(growth, parents)]
         blocks.append(_roots(growth, k))

@@ -25,10 +25,27 @@ each coefficient exactly.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
+# OpenBLAS starts one thread per core when it loads, and after an `eigh` at
+# n >= 26 its helper thread spins on for about 0.13 s, doubling the CPU time
+# of these small kernels for no gain in wall time.  So numpy is loaded with
+# one BLAS thread, unless it is loaded already or the user has set a thread
+# count.  OpenBLAS reads the variable only when it loads, so it is removed
+# again and the process and its children keep the user's environment.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules or any(v in os.environ for v in _BLAS_THREAD_VARS):
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .graphs import Graph, GraphError, SizeLimitError
 

@@ -1,11 +1,16 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from specbound import certify
+import specbound
+from specbound import certify, spectra
 from specbound.graphs import Graph
 
 settings.register_profile(
@@ -43,6 +48,21 @@ def graphs_st(draw, min_n: int = 1, max_n: int = 9):
     return Graph(n, tuple(p for p, f in zip(pairs, flags) if f))
 
 
+def run_child(code: str, **blas):
+    """The JSON that `code` prints, run in a fresh interpreter that imports
+    this checkout's specbound, with every BLAS thread variable removed from
+    the environment and then `blas` set."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in spectra._BLAS_THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(specbound.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(blas)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60, env=env)
+    return json.loads(out.stdout)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)
@@ -62,10 +82,11 @@ def fresh_levels(monkeypatch):
 
 @pytest.fixture
 def pool_starts():
-    """The number of enumeration pools started during the test, a callable.
-    The test starts without a pool, and the pool it leaves is dropped after
-    it, so that a pool forked under one test's monkeypatches never serves
-    another test; the pools themselves are real."""
+    """The number of enumeration pools started during the test, a callable;
+    a build that drops a broken pool restarts the count.  The test starts
+    without a pool, and the pool it leaves is dropped after it, so that a
+    pool forked under one test's monkeypatches never serves another test;
+    the pools themselves are real."""
     certify._start_pool.cache_clear()
     yield lambda: certify._start_pool.cache_info().misses
     certify._start_pool.cache_clear()

@@ -2,8 +2,7 @@ import json
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
+import signal
 import time
 from dataclasses import replace
 from itertools import combinations, product
@@ -11,7 +10,6 @@ from itertools import combinations, product
 import networkx as nx
 import pytest
 
-import specbound
 from specbound import certify, spectra
 from specbound.certify import (
     BudgetError,
@@ -52,6 +50,8 @@ from specbound.graphs import (
     sk,
     to_graph6,
 )
+
+from conftest import run_child
 
 
 def canon6(g: Graph) -> str:
@@ -229,6 +229,27 @@ class TestEnumeration:
             time.sleep(0.05)
         assert len(multiprocessing.active_children()) == 3
 
+    def test_broken_pool_is_not_served_again(self, fresh_levels,
+                                             pool_starts):
+        from concurrent.futures.process import BrokenProcessPool
+
+        growth = ("edge", (True, False, None))
+        certify._levels_up_to(7, growth, jobs=2)
+        broken = certify._start_pool(2)
+        assert len(broken._processes) == 2
+        for pid in broken._processes:
+            os.kill(pid, signal.SIGKILL)
+        fresh_levels()
+        with pytest.raises(BrokenProcessPool):
+            certify._levels_up_to(7, growth, jobs=2)
+        # the build after the broken one resumes on a new pool; dropping
+        # the broken pool restarted the count
+        pooled = certify._levels_up_to(7, growth, jobs=2)
+        assert pool_starts() == 1
+        assert certify._start_pool(2) is not broken
+        fresh_levels()
+        assert pooled == certify._levels_up_to(7, growth)
+
     def test_one_reset_rebuilds_every_growth(self, monkeypatch,
                                              fresh_levels):
         odd = [ClassFilter(triangle_free=True, non_bipartite=True),
@@ -267,17 +288,10 @@ class TestEnumeration:
             assert levels[k] == [canonical_form(cycle(k))]
 
     def test_import_loads_no_process_pool(self):
-        code = ("import sys, specbound\n"
-                "print(sorted({'concurrent.futures', 'multiprocessing'}"
-                " & set(sys.modules)))\n")
-        src = os.path.dirname(os.path.dirname(specbound.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, check=True,
-                             timeout=60, env=env)
-        assert out.stdout.strip() == "[]"
+        code = ("import json, sys, specbound\n"
+                "print(json.dumps(sorted({'concurrent.futures',"
+                " 'multiprocessing'} & set(sys.modules))))\n")
+        assert run_child(code) == []
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, fresh_levels, pool_starts, jobs):

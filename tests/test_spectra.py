@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import numpy as np
@@ -35,7 +36,7 @@ from specbound.spectra import (
     verify_interlacing,
 )
 
-from conftest import graphs_st, random_graph
+from conftest import graphs_st, random_graph, run_child
 
 
 def numpy_spectrum(g: Graph) -> tuple[float, ...]:
@@ -297,3 +298,57 @@ class TestClassicalBounds:
     def test_top_two_squares(self):
         assert top_two_squares(complete_bipartite(2, 2)) == pytest.approx(4.0, abs=1e-8)
         assert top_two_squares(Graph(1, ())) == 0.0
+
+
+# the thread count is read from /proc, and OpenBLAS starts no helper on a
+# single core
+COUNTS_THREADS = (os.path.isdir("/proc/self/task")
+                  and len(os.sched_getaffinity(0)) >= 2)
+
+
+class TestBlasThreads:
+    IMPORT = ("import json, os\n"
+              "{first}"
+              "before = dict(os.environ)\n"
+              "import specbound\n"
+              "tasks = '/proc/self/task'\n"
+              "print(json.dumps({{\n"
+              "    'threads': len(os.listdir(tasks))"
+              " if os.path.isdir(tasks) else None,\n"
+              "    'unchanged': dict(os.environ) == before,\n"
+              "    'openblas': os.environ.get('OPENBLAS_NUM_THREADS')}}))\n")
+
+    def test_one_thread_by_default(self):
+        got = run_child(self.IMPORT.format(first=""))
+        assert got["unchanged"]
+        assert got["openblas"] is None
+        if COUNTS_THREADS:
+            assert got["threads"] == 1
+
+    def test_callers_thread_count_decides(self):
+        got = run_child(self.IMPORT.format(first=""), OPENBLAS_NUM_THREADS="2")
+        assert got["unchanged"]
+        assert got["openblas"] == "2"
+        if COUNTS_THREADS:
+            assert got["threads"] == 2
+
+    def test_numpy_loaded_first_is_left_alone(self):
+        got = run_child(self.IMPORT.format(first="import numpy\n"))
+        assert got["unchanged"]
+        assert got["openblas"] is None
+
+    def test_no_thread_spins_after_eigh(self):
+        # OpenBLAS's helper thread, once woken by eigh at n >= 26, spun on
+        # for about 0.13 s of CPU after the call returned
+        code = ("import json, random, time\n"
+                "from specbound import spectra\n"
+                "from specbound.graphs import Graph\n"
+                "rng = random.Random(40)\n"
+                "g = Graph(40, tuple((u, v) for u in range(40)\n"
+                "                    for v in range(u + 1, 40)\n"
+                "                    if rng.random() < 0.5))\n"
+                "spectra.eigenvalues(g)\n"
+                "cpu = time.process_time()\n"
+                "time.sleep(0.2)\n"
+                "print(json.dumps(time.process_time() - cpu))\n")
+        assert run_child(code) < 0.05
