@@ -47,7 +47,7 @@ import math
 import os
 import time
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -662,24 +662,8 @@ def _non_bipartite_count(m: int, key: _PruneKey) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _JsonReport:
-    """JSON round-trip derived from the dataclass fields: tuples are written
-    as lists and read back as tuples."""
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict):
-        return cls(**{
-            f.name: tuple(d[f.name]) if isinstance(d[f.name], list)
-            else d[f.name]
-            for f in fields(cls)
-        })
-
-
 @dataclass(frozen=True)
-class CertificationReport(_JsonReport):
+class CertificationReport:
     theorem: str
     m: int
     filter: str
@@ -713,7 +697,7 @@ class CertificationReport(_JsonReport):
 def report_to_json(report: CertificationReport | BooksizeReport,
                    path: str | os.PathLike) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -785,14 +769,6 @@ def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
 # ---------------------------------------------------------------------------
 
 
-def _nosal_equality(m: int) -> set[str]:
-    out = set()
-    for s in range(1, int(math.isqrt(m)) + 1):
-        if m % s == 0:
-            out.add(canonical_form(complete_bipartite(s, m // s)).decode())
-    return out
-
-
 def certify_nosal(m: int, jobs: int = 1) -> CertificationReport:
     """Triangle-free with m edges: lambda <= sqrt(m), equality exactly at the
     complete bipartite graphs."""
@@ -800,17 +776,17 @@ def certify_nosal(m: int, jobs: int = 1) -> CertificationReport:
         raise GraphError("needs m >= 1")
     return _lambda_certify(
         "nosal", m, ClassFilter(triangle_free=True), math.sqrt(m),
-        _nosal_equality(m), spectra.spectral_radius, jobs,
+        _blowup_equality(m, (path(2),)), spectra.spectral_radius, jobs,
     )
 
 
-def _blowup_equality(m: int) -> set[str]:
-    """Canonical forms of all m-edge blow-ups (sizes >= 1) of P2, 2P2, P4, P5.
+def _blowup_equality(m: int, bases: Sequence[Graph]) -> set[str]:
+    """Canonical forms of all m-edge blow-ups (sizes >= 1) of the bases.
 
-    These are the equality graphs for the top-two-eigenvalue bound once
-    isolated vertices are dropped.
+    The blow-ups of P2 are the K_{s,t} with st = m, Nosal's equality set;
+    those of P2, 2P2, P4 and P5 are the equality graphs for the
+    top-two-eigenvalue bound once isolated vertices are dropped.
     """
-    bases = [path(2), disjoint_union(path(2), path(2)), path(4), path(5)]
     out: set[str] = set()
     for base in bases:
         k = base.n
@@ -848,7 +824,9 @@ def certify_lnw_sum(m: int, jobs: int = 1) -> CertificationReport:
         raise GraphError("needs m >= 2 (K2 alone has lambda_2 = -1)")
     return _lambda_certify(
         "lnw", m, ClassFilter(triangle_free=True), float(m),
-        _blowup_equality(m), spectra.top_two_squares, jobs,
+        _blowup_equality(m, (path(2), disjoint_union(path(2), path(2)),
+                             path(4), path(5))),
+        spectra.top_two_squares, jobs,
     )
 
 
@@ -982,7 +960,7 @@ class BooksizeRow:
 
 
 @dataclass(frozen=True)
-class BooksizeReport(_JsonReport):
+class BooksizeReport:
     m: int
     graphs_examined: int
     rows: tuple[BooksizeRow, ...]
@@ -991,11 +969,6 @@ class BooksizeReport(_JsonReport):
     nikiforov_floor: float  # (1/12) m^(1/4)
     nikiforov_ok: bool
     wall_time: float
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BooksizeReport":
-        return super().from_json_dict(
-            {**d, "rows": [BooksizeRow(**r) for r in d["rows"]]})
 
     def render_text(self) -> str:
         lines = [

@@ -13,6 +13,7 @@ import pathlib
 import re
 import sys
 import time
+from functools import partial
 
 from . import bounds, certify, spectra
 from . import graphs as G
@@ -52,45 +53,35 @@ def parse_construction(tokens: list[str]) -> G.Graph:
     if not tokens:
         raise G.GraphError("empty construction")
     head, rest = tokens[0], tokens[1:]
-
-    def ints(k: int) -> list[int]:
-        if len(rest) != k:
-            raise G.GraphError(f"{head} expects {k} argument(s)")
-        return [int(x) for x in rest]
-
-    if head == "2P2":
-        return G.disjoint_union(G.path(2), G.path(2))
-    if head in G.PatternId.__members__:
-        return G.pattern(G.PatternId[head])
-    if re.fullmatch(r"C\d+", head):
-        return G.cycle(int(head[1:]))
-    if re.fullmatch(r"P\d+", head):
-        return G.path(int(head[1:]))
-    if re.fullmatch(r"K\d+", head):
-        return G.complete(int(head[1:]))
-    if head == "Kst":
-        s, t = ints(2)
-        return G.complete_bipartite(s, t)
-    if head == "SK":
-        a, b = ints(2)
-        return G.sk(a, b)
-    if head == "S3":
-        a, b = ints(2)
-        return G.s_odd(a, b, 2)
-    if head == "Sodd":
-        a, b, k = ints(3)
-        return G.s_odd(a, b, k)
-    if head == "Bk":
-        return G.book(ints(1)[0])
-    if head == "StarPlus":
-        return G.star_plus_edge(ints(1)[0])
     if head == "Blowup":
         if len(rest) != 2:
             raise G.GraphError("Blowup expects BASE and a size list")
         base = parse_construction([rest[0]])
         sizes = [int(x) for x in rest[1].split(",")]
         return G.blow_up(base, sizes)
-    raise G.GraphError(f"unknown construction {head!r}; {_CONSTRUCT_HELP}")
+    # word -> (argument count, builder); C<n>, P<n> and K<n> stand for C7,
+    # P5, K4, ..., whose size reaches the builder as its first argument
+    words = {
+        "C<n>": (0, G.cycle),
+        "P<n>": (0, G.path),
+        "K<n>": (0, G.complete),
+        "2P2": (0, lambda: G.disjoint_union(G.path(2), G.path(2))),
+        **{pid.name: (0, partial(G.pattern, pid)) for pid in G.PatternId},
+        "Kst": (2, G.complete_bipartite),
+        "SK": (2, G.sk),
+        "S3": (2, lambda a, b: G.s_odd(a, b, 2)),
+        "Sodd": (3, G.s_odd),
+        "Bk": (1, G.book),
+        "StarPlus": (1, G.star_plus_edge),
+    }
+    sized = re.fullmatch(r"([CPK])(\d+)", head)
+    word, size = (f"{sized[1]}<n>", [sized[2]]) if sized else (head, [])
+    if "<" in head or word not in words:  # "C<n>" itself is no word
+        raise G.GraphError(f"unknown construction {head!r}; {_CONSTRUCT_HELP}")
+    count, build = words[word]
+    if len(rest) != count:
+        raise G.GraphError(f"{head} expects {count} argument(s)")
+    return build(*(int(x) for x in size + rest))
 
 
 def _input_graph(args) -> G.Graph:
@@ -326,7 +317,7 @@ def build_parser() -> _Parser:
     p.add_argument("--triangle-free", action="store_true")
     p.add_argument("--c5-free", action="store_true")
     p.add_argument("--non-bipartite", action="store_true")
-    p.add_argument("--odd-girth-min", type=int, default=None)
+    p.add_argument("--odd-girth-min", type=_int_at_least(3), default=None)
     p.add_argument("--jobs", type=_JOBS, default=1)
     p.set_defaults(fn=cmd_enumerate)
 

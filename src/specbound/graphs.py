@@ -267,28 +267,6 @@ def erdos_extremal(n: int, k: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def _c5_plus(attach_v: tuple[int, ...], attach_w: tuple[int, ...] = ()) -> Graph:
-    edges = list(cycle(5).edges)
-    for u in attach_v:
-        edges.append((u, 5))
-    for u in attach_w:
-        edges.append((u, 6))
-    return Graph(5 + (2 if attach_w else 1), tuple(edges))
-
-
-def _c7_plus(attach_v: tuple[int, ...], attach_w: tuple[int, ...] = (),
-             chain: bool = False) -> Graph:
-    n = 7 + 1 + (1 if (attach_w or chain) else 0)
-    edges = list(cycle(7).edges)
-    for u in attach_v:
-        edges.append((u, 7))
-    for u in attach_w:
-        edges.append((u, 8))
-    if chain:
-        edges.append((7, 8))
-    return Graph(n, tuple(edges))
-
-
 def pattern(pid: PatternId) -> Graph:
     """Named gallery graph.  Wirings follow the forbidden-substructure case
     analysis on a 5- or 7-cycle u1..u5 / u1..u7 (labels 0-based here):
@@ -299,31 +277,33 @@ def pattern(pid: PatternId) -> Graph:
       T0  C7 + pendant                         T5  C7 + v~{u1,u3} + pendant on v
       T1  C7 + two pendants on one vertex      T6  C7 + pendant path of length 2
 
-    v and w are never adjacent.  Each wiring is pinned by the reference
-    spectra in GALLERY_SPECTRA (attachment choices that the case analysis
-    leaves open were settled by spectral match; see tests).
+    The added vertices are v = k and w = k+1; they are adjacent only where
+    w hangs on v (T5, T6).  Each wiring is pinned by the reference spectra
+    in GALLERY_SPECTRA (attachment choices that the case analysis leaves
+    open were settled by spectral match; see tests).
     """
-    if pid is PatternId.H1:
-        return _c5_plus((0,))
-    if pid is PatternId.H2:
-        return _c5_plus((0, 2), (1, 3))
-    if pid is PatternId.H3:
-        return _c5_plus((0, 2), (2, 4))
-    if pid is PatternId.T0:
-        return _c7_plus((0,))
-    if pid is PatternId.T1:
-        return _c7_plus((0,), (0,))
-    if pid is PatternId.T2:
-        return _c7_plus((0, 2), (1, 3))
-    if pid is PatternId.T3:
-        return _c7_plus((0, 2), (2, 4))
-    if pid is PatternId.T4:
-        return _c7_plus((0, 2), (3, 5))
-    if pid is PatternId.T5:
-        return _c7_plus((0, 2), chain=True)
-    if pid is PatternId.T6:
-        return _c7_plus((0,), chain=True)
-    raise GraphError(f"unknown pattern {pid!r}")
+    # (k, cycle vertices joined to v, cycle vertices joined to w, whether w
+    #  is a pendant on v)
+    wiring = {
+        PatternId.H1: (5, (0,), (), False),
+        PatternId.H2: (5, (0, 2), (1, 3), False),
+        PatternId.H3: (5, (0, 2), (2, 4), False),
+        PatternId.T0: (7, (0,), (), False),
+        PatternId.T1: (7, (0,), (0,), False),
+        PatternId.T2: (7, (0, 2), (1, 3), False),
+        PatternId.T3: (7, (0, 2), (2, 4), False),
+        PatternId.T4: (7, (0, 2), (3, 5), False),
+        PatternId.T5: (7, (0, 2), (), True),
+        PatternId.T6: (7, (0,), (), True),
+    }.get(pid)
+    if wiring is None:
+        raise GraphError(f"unknown pattern {pid!r}")
+    k, on_v, on_w, pendant = wiring
+    edges = [*cycle(k).edges, *((u, k) for u in on_v),
+             *((u, k + 1) for u in on_w)]
+    if pendant:
+        edges.append((k, k + 1))
+    return Graph(k + 1 + bool(on_w or pendant), tuple(edges))
 
 
 # Reference eigenvalues (3 decimals) that the gallery constructions and the

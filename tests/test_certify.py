@@ -4,7 +4,7 @@ import multiprocessing
 import os
 import signal
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import combinations, product
 
 import networkx as nx
@@ -13,7 +13,6 @@ import pytest
 from specbound import certify, spectra
 from specbound.certify import (
     BudgetError,
-    CertificationReport,
     ClassFilter,
     _blowup_equality,
     _lambda_certify,
@@ -29,8 +28,10 @@ from specbound.certify import (
     explore_booksize,
     graphs_on_vertices,
     is_complete_bipartite,
+    report_to_json,
 )
 from specbound.graphs import (
+    CANONICAL_MAX_N,
     Graph,
     GraphError,
     blow_up,
@@ -482,7 +483,15 @@ class TestLnw:
             canon6(blow_up(path(4), (1, 1, 1, 2))),
             canon6(path(5)),
         }
-        assert _blowup_equality(4) == want
+        assert _blowup_equality(4, (path(2), disjoint_union(path(2), path(2)),
+                                    path(4), path(5))) == want
+
+    def test_blowups_of_p2_are_the_complete_bipartite_graphs(self):
+        # K_{1,m} has m + 1 vertices, so m stops below the canonical limit
+        for m in range(1, CANONICAL_MAX_N):
+            want = {canon6(complete_bipartite(s, m // s))
+                    for s in range(1, m + 1) if m % s == 0}
+            assert _blowup_equality(m, (path(2),)) == want, m
 
     def test_small_m(self):
         for m in range(2, 7):
@@ -727,11 +736,19 @@ class TestConnectedReports:
 
 
 class TestReports:
-    def test_json_round_trip(self):
+    @staticmethod
+    def written(report, tmp_path):
+        """The JSON file `report_to_json` writes for `report`, parsed."""
+        path = tmp_path / "report.json"
+        report_to_json(report, path)
+        text = path.read_text()
+        assert text.endswith("}\n")
+        return json.loads(text)
+
+    def test_json_file_parses_to_fields(self, tmp_path):
         r = certify_zhai_shu(7)
-        blob = json.dumps(r.to_json_dict())
-        back = CertificationReport.from_json_dict(json.loads(blob))
-        assert back == r
+        # JSON has no tuples: compare with the fields as lists
+        assert self.written(r, tmp_path) == json.loads(json.dumps(asdict(r)))
 
     def test_render_text_mentions_verdict(self):
         r = certify_thm15(6)
@@ -759,7 +776,7 @@ class TestReports:
     def test_parallel_report_matches_serial(self):
         a = certify_nosal(6, jobs=1)
         b = certify_nosal(6, jobs=2)
-        da, db = a.to_json_dict(), b.to_json_dict()
+        da, db = asdict(a), asdict(b)
         da.pop("wall_time")
         db.pop("wall_time")
         assert da == db
@@ -768,11 +785,13 @@ class TestReports:
         for r in (certify_nosal(9), certify_lnw_sum(8), certify_mantel(6)):
             assert len(set(r.maximizers)) == len(r.maximizers)
 
-    def test_booksize_json_round_trip(self):
-        from specbound.certify import BooksizeReport
+    def test_booksize_json_file_parses_to_fields(self, tmp_path):
         r = explore_booksize(4)
-        blob = json.dumps(r.to_json_dict())
-        assert BooksizeReport.from_json_dict(json.loads(blob)) == r
+        assert len(r.rows) == 2
+        written = self.written(r, tmp_path)
+        assert written["rows"][1] == {
+            "graph6": "D`K", "spectral_radius": 2.0, "booksize": 1}
+        assert written == json.loads(json.dumps(asdict(r)))
 
     def test_vertex_budget_boundary(self):
         assert certify_mantel(8).verdict == "HOLDS_WITH_EQUALITY"

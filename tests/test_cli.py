@@ -57,6 +57,41 @@ class TestConstructionLanguage:
             got = parse_construction(tokens)
             assert canonical_form(got) == canonical_form(want)
 
+    @pytest.mark.parametrize("tokens, n, edges", [
+        ("C5", 5, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
+        ("P4", 4, ((0, 1), (1, 2), (2, 3))),
+        ("K4", 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+        ("2P2", 4, ((0, 1), (2, 3))),
+        ("H1", 6, ((0, 1), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4))),
+        ("T6", 9, ((0, 1), (0, 6), (0, 7), (1, 2), (2, 3), (3, 4), (4, 5),
+                   (5, 6), (7, 8))),
+        ("Kst 2 3", 5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))),
+        ("SK 2 3", 6, ((0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4),
+                       (2, 5))),
+        ("S3 2 2", 7, ((0, 3), (0, 4), (1, 2), (1, 3), (2, 6), (4, 5),
+                       (5, 6))),
+        ("Sodd 2 2 2", 7, ((0, 3), (0, 4), (1, 2), (1, 3), (2, 6), (4, 5),
+                           (5, 6))),
+        ("Bk 2", 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))),
+        ("StarPlus 4", 4, ((0, 1), (0, 2), (0, 3), (1, 2))),
+        ("Blowup P3 1,2,1", 4, ((0, 1), (0, 2), (1, 3), (2, 3))),
+    ])
+    def test_exact_graph_per_word(self, tokens, n, edges):
+        g = parse_construction(tokens.split())
+        assert (g.n, g.edges) == (n, edges)
+
+    @pytest.mark.parametrize("argv, word, count", [
+        (("construct", "C3", "extra"), "C3", 0),
+        (("construct", "H1", "x"), "H1", 0),
+        (("spectrum", "--construct", "2P2", "x"), "2P2", 0),
+        (("charpoly", "--construct", "Kst", "2", "3", "4"), "Kst", 2),
+    ])
+    def test_extra_tokens_exit_1(self, capsys, argv, word, count):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {word} expects {count} argument(s)\n"
+
     def test_blowup_token(self):
         g = parse_construction(["Blowup", "P2", "3,4"])
         assert canonical_form(g) == canonical_form(complete_bipartite(3, 4))
@@ -222,6 +257,14 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert "--precision" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2"])
+    def test_odd_girth_min_below_three_exit_1(self, capsys, value):
+        code, out, err = run(capsys, "enumerate", "5", "--odd-girth-min",
+                             value)
+        assert code == 1
+        assert out == ""
+        assert "--odd-girth-min" in err
 
     def test_zero_precision_accepted(self, capsys):
         code, out, _ = run(capsys, "bounds", "9", "--precision", "0")

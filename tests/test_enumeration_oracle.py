@@ -15,6 +15,7 @@ full-rank step-1 rule is kept here as the reference for the incremental one.
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given
@@ -319,7 +320,7 @@ def report_plan() -> list:
 def test_reports_pinned():
     rows = []
     for report in report_plan():
-        row = report.to_json_dict()
+        row = asdict(report)
         del row["wall_time"]
         row["max_lambda"] = f"{report.max_lambda:.10f}"
         row["bound"] = f"{report.bound:.10f}"

@@ -199,6 +199,32 @@ class TestPatterns:
         for pid in PatternId:
             assert pattern(pid).m == expected[pid.value]
 
+    def test_exact_graphs(self):
+        # vertex count and edges of every gallery graph, exactly: the
+        # spectra pin them only up to cospectrality, and T0 has none
+        c5 = ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+        c7 = ((0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+        expected = {
+            "H1": (6, c5 + ((0, 5),)),
+            "H2": (7, c5 + ((0, 5), (1, 6), (2, 5), (3, 6))),
+            "H3": (7, c5 + ((0, 5), (2, 5), (2, 6), (4, 6))),
+            "T0": (8, c7 + ((0, 7),)),
+            "T1": (9, c7 + ((0, 7), (0, 8))),
+            "T2": (9, c7 + ((0, 7), (1, 8), (2, 7), (3, 8))),
+            "T3": (9, c7 + ((0, 7), (2, 7), (2, 8), (4, 8))),
+            "T4": (9, c7 + ((0, 7), (2, 7), (3, 8), (5, 8))),
+            "T5": (9, c7 + ((0, 7), (2, 7), (7, 8))),
+            "T6": (9, c7 + ((0, 7), (7, 8))),
+        }
+        for pid in PatternId:
+            n, edges = expected[pid.value]
+            g = pattern(pid)
+            assert (g.n, g.edges) == (n, tuple(sorted(edges))), pid
+
+    def test_unknown_id(self):
+        with pytest.raises(GraphError):
+            pattern("H1")
+
     def test_patterns_triangle_free(self):
         for pid in PatternId:
             assert is_triangle_free(pattern(pid))
