@@ -37,6 +37,7 @@ One function, `_verdict`, decides every certifier but Erdos: no graph may
 pass the bound, and those at it must be the theorem's equality set.  Erdos
 has no characterized equality set (at n = 10 three classes attain the bound,
 two of them constructions), so it asks only that a construction attains it.
+One function, `_report`, builds every certifier's report.
 """
 
 from __future__ import annotations
@@ -697,7 +698,8 @@ class CertificationReport:
 def report_to_json(report: CertificationReport | BooksizeReport,
                    path: str | os.PathLike) -> None:
     with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -706,24 +708,34 @@ def report_to_json(report: CertificationReport | BooksizeReport,
 # ---------------------------------------------------------------------------
 
 
+def _named(graphs: Sequence[Graph], vals: Sequence[float],
+           keep: Callable[[float], bool]) -> tuple[str, ...]:
+    """Canonical forms, sorted, of the graphs whose value `keep` accepts."""
+    return tuple(sorted(canonical_form(g).decode()
+                        for g, v in zip(graphs, vals) if keep(v)))
+
+
+def _forms(*graphs: Graph) -> set[str]:
+    return {canonical_form(g).decode() for g in graphs}
+
+
+# (max value, maximizers, verdict, counterexamples)
+_Decision = tuple[float, tuple[str, ...], str, tuple[str, ...]]
+
+
 def _verdict(graphs: Sequence[Graph], vals: Sequence[float], bound: float,
-             expected_equality: set[str]
-             ) -> tuple[float, tuple[str, ...], str, tuple[str, ...]]:
-    """(max value, maximizers, verdict, counterexamples) of a bound whose
-    equality set is exactly `expected_equality`, from the examined graphs
-    and their values.  The graphs above the bound violate it; otherwise
-    the claimants, the graphs at the bound, must be the expected set."""
+             expected_equality: set[str]) -> _Decision:
+    """The decision on a bound whose equality set is exactly
+    `expected_equality`, from the examined graphs and their values.  The
+    graphs above the bound violate it; otherwise the claimants, the graphs
+    at the bound, must be the expected set."""
     max_val = max(vals, default=0.0)
-
-    def named(keep: Callable[[float], bool]) -> list[str]:
-        return sorted(canonical_form(g).decode()
-                      for g, v in zip(graphs, vals) if keep(v))
-
-    maximizers = tuple(named(lambda v: v >= max_val - MAXIMIZER_TOL))
-    violators = named(lambda v: v > bound + EQUALITY_TOL)
-    claimants = set(named(lambda v: abs(v - bound) <= EQUALITY_TOL))
+    maximizers = _named(graphs, vals, lambda v: v >= max_val - MAXIMIZER_TOL)
+    violators = _named(graphs, vals, lambda v: v > bound + EQUALITY_TOL)
+    claimants = set(_named(graphs, vals,
+                           lambda v: abs(v - bound) <= EQUALITY_TOL))
     if violators:
-        return max_val, maximizers, "VIOLATED", tuple(violators)
+        return max_val, maximizers, "VIOLATED", violators
     if claimants == expected_equality:
         verdict = "HOLDS_WITH_EQUALITY" if claimants else "HOLDS"
         return max_val, maximizers, verdict, ()
@@ -732,10 +744,27 @@ def _verdict(graphs: Sequence[Graph], vals: Sequence[float], bound: float,
             tuple(sorted(claimants ^ expected_equality)))
 
 
-def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
-                    expected_equality: set[str],
+def _report(theorem: str, m: int, filt: str, start: float, examined: int,
+            bound: float, decision: _Decision,
+            conjecture: bool = False) -> CertificationReport:
+    """The report of a certifier that started at `start` (perf_counter)
+    and reached `decision`."""
+    max_val, maximizers, verdict, counter = decision
+    return CertificationReport(
+        theorem=theorem, m=m, filter=filt, graphs_examined=examined,
+        max_lambda=max_val, bound=bound, maximizers=maximizers,
+        verdict=verdict, wall_time=time.perf_counter() - start,
+        counterexamples=counter, conjecture=conjecture)
+
+
+def _lambda_certify(theorem: str, m: int, filt: ClassFilter,
+                    bound_and_equality: Callable[[], tuple[float, set[str]]],
                     quantity: Callable[[Graph], float], jobs: int,
                     conjecture: bool = False) -> CertificationReport:
+    """Certify `quantity` <= bound on the filter's m-edge classes, with
+    the bound and its equality set from `bound_and_equality()`.  That is
+    called only once `enumerate_graphs` has checked m against the edge
+    budget, so an m past it builds no extremal graph and no bound."""
     start = time.perf_counter()
     if filt.non_bipartite and not filt.connected:
         # Gluing the components at a vertex keeps m and every cycle and
@@ -747,21 +776,11 @@ def _lambda_certify(theorem: str, m: int, filt: ClassFilter, bound: float,
     else:
         graphs = list(enumerate_graphs(m, filt, jobs))
         examined = len(graphs)
-    max_val, maximizers, verdict, counter = _verdict(
-        graphs, [quantity(g) for g in graphs], bound, expected_equality)
-    return CertificationReport(
-        theorem=theorem,
-        m=m,
-        filter=filt.describe(),
-        graphs_examined=examined,
-        max_lambda=max_val,
-        bound=bound,
-        maximizers=maximizers,
-        verdict=verdict,
-        wall_time=time.perf_counter() - start,
-        counterexamples=counter,
-        conjecture=conjecture,
-    )
+    bound, expected = bound_and_equality()
+    decision = _verdict(graphs, [quantity(g) for g in graphs], bound,
+                        expected)
+    return _report(theorem, m, filt.describe(), start, examined, bound,
+                   decision, conjecture)
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +794,9 @@ def certify_nosal(m: int, jobs: int = 1) -> CertificationReport:
     if m < 1:
         raise GraphError("needs m >= 1")
     return _lambda_certify(
-        "nosal", m, ClassFilter(triangle_free=True), math.sqrt(m),
-        _blowup_equality(m, (path(2),)), spectra.spectral_radius, jobs,
+        "nosal", m, ClassFilter(triangle_free=True),
+        lambda: (math.sqrt(m), _blowup_equality(m, (path(2),))),
+        spectra.spectral_radius, jobs,
     )
 
 
@@ -823,9 +843,9 @@ def certify_lnw_sum(m: int, jobs: int = 1) -> CertificationReport:
     if m < 2:
         raise GraphError("needs m >= 2 (K2 alone has lambda_2 = -1)")
     return _lambda_certify(
-        "lnw", m, ClassFilter(triangle_free=True), float(m),
-        _blowup_equality(m, (path(2), disjoint_union(path(2), path(2)),
-                             path(4), path(5))),
+        "lnw", m, ClassFilter(triangle_free=True),
+        lambda: (float(m), _blowup_equality(
+            m, (path(2), disjoint_union(path(2), path(2)), path(4), path(5)))),
         spectra.top_two_squares, jobs,
     )
 
@@ -836,9 +856,10 @@ def certify_thm15(m: int, jobs: int = 1) -> CertificationReport:
     if m < 1:
         raise GraphError("needs m >= 1")
     filt = ClassFilter(triangle_free=True, non_bipartite=True)
-    expected = {canonical_form(sk(2, 2)).decode()} if m == 5 else set()
-    return _lambda_certify("thm15", m, filt, math.sqrt(m - 1), expected,
-                           spectra.spectral_radius, jobs)
+    return _lambda_certify(
+        "thm15", m, filt,
+        lambda: (math.sqrt(m - 1), _forms(sk(2, 2)) if m == 5 else set()),
+        spectra.spectral_radius, jobs)
 
 
 def certify_zhai_shu(m: int, jobs: int = 1) -> CertificationReport:
@@ -847,10 +868,11 @@ def certify_zhai_shu(m: int, jobs: int = 1) -> CertificationReport:
     if m < 5:
         raise GraphError("needs m >= 5")
     filt = ClassFilter(triangle_free=True, non_bipartite=True)
-    expected = ({canonical_form(sk(2, (m - 1) // 2)).decode()}
-                if m % 2 == 1 else set())
-    return _lambda_certify("zhai-shu", m, filt, bounds.beta(m), expected,
-                           spectra.spectral_radius, jobs)
+    return _lambda_certify(
+        "zhai-shu", m, filt,
+        lambda: (bounds.beta(m),
+                 _forms(sk(2, (m - 1) // 2)) if m % 2 == 1 else set()),
+        spectra.spectral_radius, jobs)
 
 
 def certify_main(m: int, jobs: int = 1) -> CertificationReport:
@@ -859,10 +881,11 @@ def certify_main(m: int, jobs: int = 1) -> CertificationReport:
     if m < 7:
         raise GraphError("needs m >= 7")
     filt = ClassFilter(triangle_free=True, c5_free=True, non_bipartite=True)
-    expected = ({canonical_form(s_odd(2, (m - 3) // 2, 2)).decode()}
-                if m % 2 == 1 else set())
-    return _lambda_certify("main", m, filt, bounds.gamma(m), expected,
-                           spectra.spectral_radius, jobs)
+    return _lambda_certify(
+        "main", m, filt,
+        lambda: (bounds.gamma(m),
+                 _forms(s_odd(2, (m - 3) // 2, 2)) if m % 2 == 1 else set()),
+        spectra.spectral_radius, jobs)
 
 
 def certify_conj51(m: int, k: int, jobs: int = 1) -> CertificationReport:
@@ -872,11 +895,13 @@ def certify_conj51(m: int, k: int, jobs: int = 1) -> CertificationReport:
         raise GraphError("the conjectured extremal graph needs odd m")
     if k < 1 or m < 2 * k + 3:
         raise GraphError("needs k >= 1 and m >= 2k+3")
-    extremal = s_odd(2, (m - 2 * k + 1) // 2, k)
-    bound = spectra.spectral_radius(extremal)
+
+    def bound_and_equality() -> tuple[float, set[str]]:
+        extremal = s_odd(2, (m - 2 * k + 1) // 2, k)
+        return spectra.spectral_radius(extremal), _forms(extremal)
+
     filt = ClassFilter(non_bipartite=True, odd_girth_min=2 * k + 3)
-    return _lambda_certify(f"conj51[k={k}]", m, filt, bound,
-                           {canonical_form(extremal).decode()},
+    return _lambda_certify(f"conj51[k={k}]", m, filt, bound_and_equality,
                            spectra.spectral_radius, jobs, conjecture=True)
 
 
@@ -891,16 +916,10 @@ def certify_mantel(n: int) -> CertificationReport:
     gs = graphs_on_vertices(n, triangle_free=True, connected=True)
     sizes = [len(level) for level in _levels_up_to(n, ("vertex-conn", True))]
     bound = float(n * n // 4)
-    expected = {
-        canonical_form(complete_bipartite(n // 2, (n + 1) // 2)).decode()}
-    max_m, maximizers, verdict, counter = _verdict(
-        gs, [float(g.m) for g in gs], bound, expected)
-    return CertificationReport(
-        theorem="mantel", m=n, filter="triangle-free (n-vertex)",
-        graphs_examined=_euler(sizes)[n], max_lambda=max_m, bound=bound,
-        maximizers=maximizers, verdict=verdict,
-        wall_time=time.perf_counter() - start, counterexamples=counter,
-    )
+    decision = _verdict(gs, [float(g.m) for g in gs], bound,
+                        _forms(complete_bipartite(n // 2, (n + 1) // 2)))
+    return _report("mantel", n, "triangle-free (n-vertex)", start,
+                   _euler(sizes)[n], bound, decision)
 
 
 def certify_erdos(n: int) -> CertificationReport:
@@ -917,39 +936,22 @@ def certify_erdos(n: int) -> CertificationReport:
     levels = _levels_up_to(n, ("vertex-conn", True))
     examined = (_euler([len(level) for level in levels])[n]
                 - _euler(_bipartite_sizes(levels))[n])
-    bound = (n - 1) ** 2 // 4 + 1
-    max_m = max(g.m for g in gs)
-    maximizers = sorted(canonical_form(g).decode() for g in gs if g.m == max_m)
-    constructions = {
-        canonical_form(erdos_extremal(n, k)).decode() for k in range(1, n // 2)
-    }
-    attained = max_m == bound and constructions & set(maximizers)
-    verdict = "HOLDS_WITH_EQUALITY" if attained else "VIOLATED"
-    counter = () if attained else tuple(maximizers)
-    return CertificationReport(
-        theorem="erdos", m=n, filter="triangle-free non-bipartite (n-vertex)",
-        graphs_examined=examined, max_lambda=float(max_m), bound=float(bound),
-        maximizers=tuple(maximizers), verdict=verdict,
-        wall_time=time.perf_counter() - start, counterexamples=counter,
-    )
+    bound = float((n - 1) ** 2 // 4 + 1)
+    sizes = [float(g.m) for g in gs]
+    max_m = max(sizes)
+    maximizers = _named(gs, sizes, lambda v: v == max_m)
+    constructions = _forms(*(erdos_extremal(n, k) for k in range(1, n // 2)))
+    if max_m == bound and constructions & set(maximizers):
+        decision = (max_m, maximizers, "HOLDS_WITH_EQUALITY", ())
+    else:
+        decision = (max_m, maximizers, "VIOLATED", maximizers)
+    return _report("erdos", n, "triangle-free non-bipartite (n-vertex)",
+                   start, examined, bound, decision)
 
 
 # ---------------------------------------------------------------------------
 # booksize exploration
 # ---------------------------------------------------------------------------
-
-
-def is_complete_bipartite(g: Graph) -> bool:
-    """Whether g is K1 or K_{s,t} with s, t >= 1: every vertex is joined to
-    exactly the side it is not on, where the neighbours of vertex 0 form
-    one side and the other vertices the other."""
-    if g.n == 0:
-        return False
-    other = g.mask(0)
-    side = ((1 << g.n) - 1) ^ other
-    return bool(other or g.n == 1) and all(
-        mv == (other if side >> v & 1 else side)
-        for v, mv in enumerate(g._masks))
 
 
 @dataclass(frozen=True)
@@ -965,7 +967,7 @@ class BooksizeReport:
     graphs_examined: int
     rows: tuple[BooksizeRow, ...]
     min_booksize: int
-    min_ratio: float  # min booksize / sqrt(m)
+    min_ratio: float  # min booksize / sqrt(m); 0 when there are no rows
     nikiforov_floor: float  # (1/12) m^(1/4)
     nikiforov_ok: bool
     wall_time: float
@@ -995,11 +997,13 @@ def explore_booksize(m: int, jobs: int = 1) -> BooksizeReport:
     graphs = list(enumerate_graphs(m, ClassFilter(), jobs))
     vals = [spectra.spectral_radius(g) for g in graphs]
     cut = math.sqrt(m) - 1e-9
+    nosal_equality = _blowup_equality(m, (path(2),))  # K_{s,t}, st = m
     rows = []
     for g, lam in zip(graphs, vals):
-        if lam >= cut and not is_complete_bipartite(g):
-            rows.append(BooksizeRow(canonical_form(g).decode(), lam,
-                                    booksize(g)))
+        if lam >= cut:
+            form = canonical_form(g).decode()
+            if form not in nosal_equality:
+                rows.append(BooksizeRow(form, lam, booksize(g)))
     rows.sort(key=lambda r: (r.booksize, r.graph6))
     floor = m ** 0.25 / 12.0
     min_bk = min((r.booksize for r in rows), default=0)
@@ -1008,7 +1012,7 @@ def explore_booksize(m: int, jobs: int = 1) -> BooksizeReport:
         graphs_examined=len(graphs),
         rows=tuple(rows),
         min_booksize=min_bk,
-        min_ratio=(min_bk / math.sqrt(m)) if rows else math.inf,
+        min_ratio=min_bk / math.sqrt(m),
         nikiforov_floor=floor,
         nikiforov_ok=all(r.booksize > floor for r in rows),
         wall_time=time.perf_counter() - start,

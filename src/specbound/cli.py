@@ -13,7 +13,9 @@ import pathlib
 import re
 import sys
 import time
+from contextlib import suppress
 from functools import partial
+from itertools import count
 
 from . import bounds, certify, spectra
 from . import graphs as G
@@ -210,27 +212,6 @@ def cmd_certify(args) -> int:
     return 0 if ok else 2
 
 
-def _sweep_plan() -> list[tuple[str, int]]:
-    """(certifier, parameter) for every check in budget, in table order;
-    conj51 runs at k = 3, the open case."""
-    def top_m(**flags) -> int:
-        return certify.edge_budget(certify.ClassFilter(**flags)) + 1
-
-    top_n = certify.VERTEX_BUDGET + 1
-    plan = []
-    for m in range(3, top_m(triangle_free=True)):
-        plan += [("nosal", m), ("lnw", m)]
-    for m in range(5, top_m(triangle_free=True, non_bipartite=True)):
-        plan += [("thm15", m), ("zhai-shu", m)]
-    plan += [("main", m) for m in range(
-        7, top_m(triangle_free=True, c5_free=True, non_bipartite=True))]
-    plan += [("mantel", n) for n in range(4, top_n)]
-    plan += [("erdos", n) for n in range(5, top_n)]
-    plan += [("conj51", m) for m in range(
-        9, top_m(odd_girth_min=9, non_bipartite=True), 2)]
-    return plan
-
-
 def cmd_sweep(args) -> int:
     if args.json_dir:
         args.json_dir.mkdir(parents=True, exist_ok=True)
@@ -238,16 +219,26 @@ def cmd_sweep(args) -> int:
           f"{'bound':>13} {'verdict':<22} {'secs':>6}")
     bad = 0
     t0 = time.perf_counter()
-    for theorem, param in _sweep_plan():
-        r = _CERTIFIERS[theorem](
-            argparse.Namespace(param=param, k=3, jobs=args.jobs))
-        name = "conj51-k3" if theorem == "conj51" else theorem
-        print(f"{name:<10} {param:>5} {r.graphs_examined:>8} "
-              f"{r.max_lambda:>13.8f} {r.bound:>13.8f} {r.verdict:<22} "
-              f"{r.wall_time:>6.2f}")
-        bad += r.verdict == "VIOLATED"
-        if args.json_dir:
-            certify.report_to_json(r, args.json_dir / f"{name}-{param}.json")
+    # (certifiers run at each parameter, first parameter, step): a row
+    # runs until its certifiers reach their budget, where the check raises
+    # before it builds anything; conj51 runs at k = 3, the open case
+    for theorems, first, step in ((("nosal", "lnw"), 3, 1),
+                                  (("thm15", "zhai-shu"), 5, 1),
+                                  (("main",), 7, 1), (("mantel",), 4, 1),
+                                  (("erdos",), 5, 1), (("conj51",), 9, 2)):
+        with suppress(certify.BudgetError):
+            for param in count(first, step):
+                for theorem in theorems:
+                    r = _CERTIFIERS[theorem](
+                        argparse.Namespace(param=param, k=3, jobs=args.jobs))
+                    name = "conj51-k3" if theorem == "conj51" else theorem
+                    print(f"{name:<10} {param:>5} {r.graphs_examined:>8} "
+                          f"{r.max_lambda:>13.8f} {r.bound:>13.8f} "
+                          f"{r.verdict:<22} {r.wall_time:>6.2f}")
+                    bad += r.verdict == "VIOLATED"
+                    if args.json_dir:
+                        certify.report_to_json(
+                            r, args.json_dir / f"{name}-{param}.json")
     print(f"total wall time {time.perf_counter() - t0:.1f}s, "
           f"{bad} violation(s)")
     return 2 if bad else 0

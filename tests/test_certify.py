@@ -27,7 +27,6 @@ from specbound.certify import (
     enumerate_graphs,
     explore_booksize,
     graphs_on_vertices,
-    is_complete_bipartite,
     report_to_json,
 )
 from specbound.graphs import (
@@ -425,10 +424,24 @@ class TestEdgeBudgets:
         (certify_conj51, (15, 2)),
         # m = 16 is one past the k = 3 budget, but conj51 needs odd m
         (certify_conj51, (17, 3)),
+        # far past: K_{1,41}, the 40-edge blow-ups of P5 and the extremal
+        # graphs of the three others pass the canonical-form limit of 40
+        # vertices
+        (certify_nosal, (41,)),
+        (certify_lnw_sum, (40,)),
+        (certify_zhai_shu, (201,)),
+        (certify_main, (201,)),
+        (certify_conj51, (101, 3)),
     ], ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)))
-    def test_certifiers_past_their_budget(self, no_enumeration, certifier,
-                                          args):
-        with pytest.raises(BudgetError):
+    def test_certifiers_past_their_budget(self, no_enumeration, monkeypatch,
+                                          certifier, args):
+        # the budget is checked before the bound or its equality set is
+        # built: no graph is labelled
+        def no_forms(g):
+            raise AssertionError("canonical_form called")
+
+        monkeypatch.setattr(certify, "canonical_form", no_forms)
+        with pytest.raises(BudgetError, match="budget is m <= "):
             certifier(*args)
 
 
@@ -600,6 +613,19 @@ class TestMantelErdos:
         assert r.max_lambda == 10.0
         assert r.counterexamples == (canon6(k5),)
 
+    def test_erdos_above_the_bound_path(self, monkeypatch):
+        # a graph with more edges than the bound is the only maximizer, and
+        # the maximizers are the counterexamples
+        real = certify.graphs_on_vertices
+        k6 = complete(6)
+        monkeypatch.setattr(certify, "graphs_on_vertices",
+                            lambda *args, **kw: real(*args, **kw) + [k6])
+        r = certify_erdos(6)
+        assert r.verdict == "VIOLATED"
+        assert r.max_lambda == 15.0
+        assert r.maximizers == (canon6(k6),)
+        assert r.counterexamples == r.maximizers
+
     def test_erdos_violation_path(self, monkeypatch):
         # with no construction among the maximizers, they are the
         # counterexamples
@@ -636,20 +662,20 @@ class TestBooksize:
             for row in r.rows:
                 assert row.booksize > m ** 0.25 / 12
 
-    def test_complete_bipartite_detector(self):
-        assert is_complete_bipartite(complete_bipartite(2, 3))
-        assert not is_complete_bipartite(cycle(5))
-        assert not is_complete_bipartite(disjoint_union(path(2), path(2)))
-        assert not is_complete_bipartite(sk(2, 2))
-        assert not is_complete_bipartite(Graph(0, ()))
-        assert is_complete_bipartite(Graph(1, ()))
-        assert not is_complete_bipartite(Graph(2, ()))
-        for t in range(1, 6):
-            assert is_complete_bipartite(complete_bipartite(1, t))
-        assert is_complete_bipartite(cycle(4))
-        assert not is_complete_bipartite(path(4))
-        assert not is_complete_bipartite(
-            disjoint_union(complete_bipartite(2, 3), Graph(1, ())))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_empty_survey_writes_strict_json(self, tmp_path, m):
+        # K_{1,m} is the only class at or above the cut, so there are no
+        # rows, and every number in the file is finite
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        r = explore_booksize(m)
+        assert r.rows == () and r.min_booksize == 0
+        assert r.min_ratio == 0.0
+        path = tmp_path / f"b{m}.json"
+        report_to_json(r, path)
+        written = json.loads(path.read_text(), parse_constant=no_constant)
+        assert written["min_ratio"] == 0.0
 
 
 class TestConjecture51:
@@ -758,8 +784,8 @@ class TestReports:
     def test_violation_path(self):
         # a deliberately wrong bound must produce a counterexample
         r = _lambda_certify(
-            "synthetic", 5, ClassFilter(triangle_free=True), 1.5, set(),
-            spectra.spectral_radius, 1,
+            "synthetic", 5, ClassFilter(triangle_free=True),
+            lambda: (1.5, set()), spectra.spectral_radius, 1,
         )
         assert r.verdict == "VIOLATED"
         assert r.counterexamples
@@ -767,8 +793,9 @@ class TestReports:
     def test_equality_mismatch_path(self):
         # correct bound but wrong expected equality set: VIOLATED
         r = _lambda_certify(
-            "synthetic", 4, ClassFilter(triangle_free=True), 2.0,
-            {canon6(complete_bipartite(1, 4))}, spectra.spectral_radius, 1,
+            "synthetic", 4, ClassFilter(triangle_free=True),
+            lambda: (2.0, {canon6(complete_bipartite(1, 4))}),
+            spectra.spectral_radius, 1,
         )
         assert r.verdict == "VIOLATED"
         assert canon6(complete_bipartite(2, 2)) in r.counterexamples

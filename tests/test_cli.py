@@ -225,6 +225,15 @@ class TestCommands:
         assert code == 1
         assert "budget" in err
 
+    def test_certify_far_past_the_budget_exit_1(self):
+        # the budget is checked before SK_{2,100} (beyond the
+        # canonical-form limit) is built
+        out = run_module("certify", "zhai-shu", "201")
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: edge budget is m <= 13")
+        assert out.stdout == ""
+
     @pytest.mark.parametrize("argv", [("certify", "nosal", "-2"),
                                       ("certify", "thm15", "0")])
     def test_certify_m_below_one_exit_1(self, capsys, argv):
