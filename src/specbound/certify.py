@@ -24,7 +24,11 @@ automorphism group, and a tied piece in the new piece's orbit is never
 deleted to test the child (McKay & Piperno, "Practical graph isomorphism
 II", J. Symb. Comput. 2014, for automorphisms read off the search).  All
 their levels live in one store, `_LEVELS`, built by one loop,
-`_levels_up_to`.
+`_levels_up_to`.  A level is labelled (its classes keyed by canonical form,
+in canonical-form order) when something reads its forms: the growth of the
+next level, or a caller of the enumerators.  A certifier reads only graphs
+and level sizes, so the top level of its request keeps its untied children
+unlabelled (`_graphs_only`); the next reader that needs forms labels it.
 
 The extremal graphs of the non-bipartite, Mantel and Erdos certifiers are
 connected, so those certifiers build only the connected levels and count
@@ -48,8 +52,9 @@ import math
 import os
 import time
 from bisect import bisect_right
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial, wraps
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -138,15 +143,20 @@ class ClassFilter:
 # ---------------------------------------------------------------------------
 
 _Piece = TypeVar("_Piece")
+_R = TypeVar("_R")
 
 
-def _children(parents: Iterable[tuple[bytes, Graph]],
+def _children(parents: Iterable[tuple[bytes | None, Graph]],
               grow: Callable[[Graph], Iterable[tuple[int, tuple, list]]],
               delete: Callable[[Graph, _Piece], Graph],
-              allowed: Callable[[Sequence[int], _Piece], bool]
-              ) -> list[tuple[bytes, Graph]]:
-    """(canonical form, h) for every child h = g + piece of the given
-    (canonical form, g) parents whose canonical parent is g.
+              allowed: Callable[[Sequence[int], _Piece], bool],
+              top: bool = False
+              ) -> tuple[list[bytes], list[tuple[bytes | None, Graph]]]:
+    """The canonical forms of the given (canonical form, g) parents, in
+    order, and (canonical form, h) for every child h = g + piece whose
+    canonical parent is g.  A parent that comes with None for its form is
+    labelled here, as it must be for its generators anyway.  With `top`,
+    the form of an untied child is not computed and reads None.
 
     Pieces are ranked by an isomorphism invariant, `allowed(masks, f)`
     says whether deleting piece f from the graph with these neighbour
@@ -167,12 +177,19 @@ def _children(parents: Iterable[tuple[bytes, Graph]],
     one Aut(g)-orbit of added edges only the first is kept: the others give
     isomorphic children with the same outcome of both tests.  A tied piece
     in the new piece's Aut(h)-orbit leaves a copy of g, which cannot beat
-    g's own form, so it is not deleted.  Two qualifying pieces may still lie
-    in different orbits, so the children of one parent are also
-    deduplicated by canonical form.
+    g's own form, so it is not deleted.  Two qualifying tied pieces may
+    still lie in different orbits, so the tied children of one parent are
+    also deduplicated by canonical form.  An untied child needs no form:
+    its new piece is the only one of its rank, so an isomorphism between
+    two of g's untied children maps one new piece onto the other and lies
+    in Aut(g), whose orbit step has already skipped the second.
     """
-    out: list[tuple[bytes, Graph]] = []
+    forms: list[bytes] = []
+    out: list[tuple[bytes | None, Graph]] = []
     for parent_key, g in parents:
+        if parent_key is None:
+            parent_key = canonical_form(g)
+        forms.append(parent_key)
         kids: dict[bytes, Graph] = {}
         # new vertices are fixed
         gens = [p + bytes((g.n, g.n + 1)) for p in automorphism_generators(g)]
@@ -184,6 +201,9 @@ def _children(parents: Iterable[tuple[bytes, Graph]],
                     continue
                 seen |= _orbit(added, gens, _moved_edges)
             h = Graph(n, edges)
+            if top and not ties:
+                out.append((None, h))
+                continue
             key = canonical_form(h)  # also labels h for its generators
             if ties:
                 new = n - 1 if type(ties[0]) is int else edges[-1]
@@ -194,7 +214,7 @@ def _children(parents: Iterable[tuple[bytes, Graph]],
                     continue
             kids.setdefault(key, h)
         out.extend(kids.items())
-    return out
+    return forms, out
 
 
 def _moved(p: bytes, piece):
@@ -229,7 +249,8 @@ def _every_piece(masks: Sequence[int], piece) -> bool:
 
 
 def _union(kids: Iterable[tuple[bytes, Graph]]) -> dict[bytes, Graph]:
-    """One level from its parents' children, in canonical-form order."""
+    """One labelled level from its parents' children, in canonical-form
+    order."""
     level: dict[bytes, Graph] = {}
     for cform, h in kids:
         if cform in level:
@@ -478,12 +499,18 @@ def _not_a_cut_vertex(masks: Sequence[int], v: int) -> bool:
 # class, ("odd", prune key) for its non-bipartite classes, grown from odd
 # cycles, ("vertex", triangle_free) for the vertex-indexed levels, or one of
 # these with "-conn" for its connected classes ("conn" for "edge").
-# levels[k] maps canonical form -> graph with k edges (k vertices for
-# "vertex"), in canonical-form order: the union of the children that the
-# classes of level k-1 accept as their canonical parent, and of the roots
-# of level k.
+# levels[k] holds the graphs with k edges (k vertices for "vertex"): the
+# union of the children that the classes of level k-1 accept as their
+# canonical parent, and of the roots of level k.  A level is labelled, a
+# dict canonical form -> graph in canonical-form order, once anything has
+# read its forms: the growth of level k+1, whose parents need them, or a
+# reader that asks for them.  The top level of a request for graphs alone
+# (a certifier's) is stored as the list of its graphs instead, with its
+# untied children never labelled, until such a reader labels it in place.
+# Only the last stored level of a growth can be a list.
 _Growth = tuple[str, object]
-_LEVELS: dict[_Growth, list[dict[bytes, Graph]]] = {}
+_Level = dict[bytes, Graph] | list[Graph]
+_LEVELS: dict[_Growth, list[_Level]] = {}
 
 # kind -> the pieces whose deletion leaves a graph of the growth's class.
 # Every connected graph but K2 and K1 has such an edge and vertex (a leaf of
@@ -500,19 +527,21 @@ _PIECES: dict[str, Callable[[Sequence[int], object], bool]] = {
 }
 
 
-def _grow(growth: _Growth, parents: list[tuple[bytes, Graph]]
-          ) -> list[tuple[bytes, Graph]]:
-    """The children of a block of parents that accept them."""
+def _grow(growth: _Growth, parents: list[tuple[bytes | None, Graph]],
+          top: bool = False
+          ) -> tuple[list[bytes], list[tuple[bytes | None, Graph]]]:
+    """The forms of a block of parents and the children that accept them
+    (see _children)."""
     kind, arg = growth
     allowed = _PIECES[kind]
     connected = kind.endswith("conn")
     if kind.startswith("vertex"):
         return _children(
             parents, lambda g: _vertex_growth(g, arg, allowed, connected),
-            _drop_vertex, allowed)
+            _drop_vertex, allowed, top)
     return _children(
         parents, lambda g: _edge_growth(g, arg, allowed, connected),
-        _drop_edge, allowed)
+        _drop_edge, allowed, top)
 
 
 def _roots(growth: _Growth, k: int) -> list[tuple[bytes, Graph]]:
@@ -547,28 +576,66 @@ def _start_pool(jobs: int):
 atexit.register(_start_pool.cache_clear)
 
 
-def _levels_up_to(m: int, growth: _Growth, jobs: int = 1
-                  ) -> list[dict[bytes, Graph]]:
+# false while a certifier runs (see _graphs_only)
+_READS_FORMS: ContextVar[bool] = ContextVar("reads_forms", default=True)
+
+
+def _graphs_only(certifier: Callable[..., _R]) -> Callable[..., _R]:
+    """The certifier, run so that the top level of each request it makes
+    is left unlabelled: it reads the graphs and sizes of its levels, and
+    labels only the graphs its report names."""
+    @wraps(certifier)
+    def run(*args, **kwargs):
+        token = _READS_FORMS.set(False)
+        try:
+            return certifier(*args, **kwargs)
+        finally:
+            _READS_FORMS.reset(token)
+    return run
+
+
+def _graphs(level: _Level) -> Iterable[Graph]:
+    return level if type(level) is list else level.values()
+
+
+def _levels_up_to(m: int, growth: _Growth, jobs: int = 1) -> list[_Level]:
     """Levels 0..m of the growth, built on the ones already stored; the
-    pool grows each level that has at least 4 parents per job."""
+    pool grows each level that has at least 4 parents per job.  Every level
+    is labelled, except that under `_graphs_only` a level m that the call
+    builds, or that an earlier such call left, stays the list of its
+    graphs.  Such a level is labelled when the next level grows from it,
+    which labels its graphs for their generators anyway (in the workers,
+    with a pool), or when a call outside `_graphs_only` asks for it."""
+    forms = _READS_FORMS.get()
     levels = _LEVELS.setdefault(growth, [{}])
     while len(levels) <= m:
         k = len(levels)
-        parents = list(levels[-1].items())
+        below = levels[k - 1]
+        unlabelled = type(below) is list
+        parents = [(None, g) for g in below] if unlabelled else list(
+            below.items())
+        top = k == m and not forms
+        grow = partial(_grow, top=True) if top else _grow
         if jobs > 1 and len(parents) >= 4 * jobs:
             from concurrent.futures.process import BrokenProcessPool
             try:
                 blocks = list(_start_pool(jobs).map(
-                    _grow, repeat(growth), ([p] for p in parents),
+                    grow, repeat(growth), ([p] for p in parents),
                     chunksize=len(parents) // (4 * jobs)))
             except BrokenProcessPool:
                 _start_pool.cache_clear()  # the next build starts a new pool
                 raise
         else:
-            blocks = [_grow(growth, parents)]
-        blocks.append(_roots(growth, k))
-        levels.append(_union(chain.from_iterable(blocks)))
-    return levels
+            blocks = [grow(growth, parents)]
+        if unlabelled:
+            levels[k - 1] = _union(zip(
+                chain.from_iterable(f for f, _ in blocks), below))
+        kids = chain(chain.from_iterable(c for _, c in blocks),
+                     _roots(growth, k))
+        levels.append([h for _, h in kids] if top else _union(kids))
+    if forms and type(levels[m]) is list:
+        levels[m] = _union((canonical_form(g), g) for g in levels[m])
+    return levels[:m + 1]
 
 
 def edge_budget(filt: ClassFilter) -> int:
@@ -588,11 +655,9 @@ def edge_budget(filt: ClassFilter) -> int:
     return EDGE_BUDGET
 
 
-def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
-                     jobs: int = 1) -> Iterator[Graph]:
-    """All isomorphism classes with m edges and no isolated vertices in
-    the filter's class, in canonical-form order: the stored level of the
-    growth the filter picks, built (and the arguments checked) by the call."""
+def _checked_growth(m: int, filt: ClassFilter, jobs: int) -> _Growth:
+    """The growth that builds the filter's class, once m and jobs are
+    checked; the budget error names the filter."""
     if m < 1:
         raise GraphError("enumeration needs m >= 1")
     if jobs < 1:
@@ -604,19 +669,31 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
     kind = "odd" if filt.non_bipartite else "edge"
     if filt.connected:
         kind = "odd-conn" if filt.non_bipartite else "conn"
-    return iter(_levels_up_to(m, (kind, _prune_key(filt)), jobs)[m].values())
+    return kind, _prune_key(filt)
+
+
+def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
+                     jobs: int = 1) -> Iterator[Graph]:
+    """All isomorphism classes with m edges and no isolated vertices in
+    the filter's class, in canonical-form order: the stored level of the
+    growth the filter picks, built (and the arguments checked) by the call.
+    A certifier (see _graphs_only) may get them in the order they were
+    built."""
+    growth = _checked_growth(m, filt, jobs)
+    return iter(_graphs(_levels_up_to(m, growth, jobs)[m]))
 
 
 def graphs_on_vertices(n: int, triangle_free: bool = True,
                        connected: bool = False) -> list[Graph]:
     """All isomorphism classes on exactly n labeled-off vertices (isolated
-    vertices allowed unless connected), grown one vertex at a time."""
+    vertices allowed unless connected), grown one vertex at a time, in
+    canonical-form order but for a certifier, as in enumerate_graphs."""
     if n < 1:
         raise GraphError("needs n >= 1")
     if n > VERTEX_BUDGET:
         raise BudgetError(f"vertex budget is n <= {VERTEX_BUDGET}")
     kind = "vertex-conn" if connected else "vertex"
-    return list(_levels_up_to(n, (kind, triangle_free))[n].values())
+    return list(_graphs(_levels_up_to(n, (kind, triangle_free))[n]))
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +715,8 @@ def _euler(c: list[int]) -> list[int]:
     return a
 
 
-def _bipartite_sizes(levels: list[dict[bytes, Graph]]) -> list[int]:
-    return [sum(map(is_bipartite, level.values())) for level in levels]
+def _bipartite_sizes(levels: list[_Level]) -> list[int]:
+    return [sum(map(is_bipartite, _graphs(level))) for level in levels]
 
 
 def _non_bipartite_count(m: int, key: _PruneKey) -> int:
@@ -757,15 +834,18 @@ def _report(theorem: str, m: int, filt: str, start: float, examined: int,
         counterexamples=counter, conjecture=conjecture)
 
 
+@_graphs_only
 def _lambda_certify(theorem: str, m: int, filt: ClassFilter,
                     bound_and_equality: Callable[[], tuple[float, set[str]]],
                     quantity: Callable[[Graph], float], jobs: int,
                     conjecture: bool = False) -> CertificationReport:
     """Certify `quantity` <= bound on the filter's m-edge classes, with
     the bound and its equality set from `bound_and_equality()`.  That is
-    called only once `enumerate_graphs` has checked m against the edge
-    budget, so an m past it builds no extremal graph and no bound."""
+    called only once m is checked against the filter's edge budget, so an
+    m past it builds no extremal graph and no bound.  Only the graphs the
+    verdict names are labelled at level m."""
     start = time.perf_counter()
+    _checked_growth(m, filt, jobs)  # a budget error names the class certified
     if filt.non_bipartite and not filt.connected:
         # Gluing the components at a vertex keeps m and every cycle and
         # raises lambda (Perron-Frobenius), so the connected classes hold
@@ -905,6 +985,7 @@ def certify_conj51(m: int, k: int, jobs: int = 1) -> CertificationReport:
                            spectra.spectral_radius, jobs, conjecture=True)
 
 
+@_graphs_only
 def certify_mantel(n: int) -> CertificationReport:
     """Triangle-free on n vertices: at most floor(n^2/4) edges, with the
     balanced complete bipartite graph as unique maximizer."""
@@ -922,6 +1003,7 @@ def certify_mantel(n: int) -> CertificationReport:
                    _euler(sizes)[n], bound, decision)
 
 
+@_graphs_only
 def certify_erdos(n: int) -> CertificationReport:
     """Triangle-free non-bipartite on n vertices: at most
     floor((n-1)^2/4) + 1 edges; the bound is attained (not uniquely) and the
@@ -990,6 +1072,7 @@ class BooksizeReport:
         return "\n".join(lines)
 
 
+@_graphs_only
 def explore_booksize(m: int, jobs: int = 1) -> BooksizeReport:
     """Evidence table: every non-complete-bipartite m-edge class with
     lambda >= sqrt(m), its booksize, and the worst bk/sqrt(m) ratio."""

@@ -33,6 +33,7 @@ from specbound.graphs import (
     CANONICAL_MAX_N,
     Graph,
     GraphError,
+    _canonical_labelling,
     blow_up,
     canonical_form,
     canonical_graph,
@@ -759,6 +760,68 @@ class TestConnectedReports:
         assert report.maximizers == want.maximizers
         assert report.verdict == want.verdict
         assert report.counterexamples == want.counterexamples
+
+
+class TestUnlabelledTop:
+    """A certifier reads the graphs and sizes of its levels, not their
+    forms, so the top level of its request keeps its untied classes
+    unlabelled until a reader that needs forms labels it."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("growth, top", [
+        (("edge", (True, False, None)), 9),
+        (("conn", (True, False, None)), 9),
+        (("edge", (False, False, None)), 7),
+        (("conn", (False, False, None)), 7),
+        (("odd", (True, False, None)), 10),
+        (("odd-conn", (True, False, None)), 10),
+        (("odd", (True, True, None)), 11),
+        (("odd-conn", (True, True, None)), 11),
+        (("vertex", True), 7),
+        (("vertex-conn", True), 7),
+        (("vertex", False), 7),
+        (("vertex-conn", False), 7),
+    ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_labelled_later_equals_labelled_when_built(
+            self, fresh_levels, pool_starts, growth, top, jobs):
+        # each level is first a certifier's top, then the next level's
+        # parents; the last is labelled by a reader that needs its forms
+        read = certify._graphs_only(certify._levels_up_to)
+        sizes = []
+        for m in range(1, top + 1):
+            level = read(m, growth, jobs)[m]
+            assert type(level) is list
+            sizes.append(len(level))
+        later = certify._levels_up_to(top, growth, jobs)
+        fresh_levels()
+        built = certify._levels_up_to(top, growth, jobs)
+        assert [[(c, g.n, g.edges) for c, g in level.items()]
+                for level in later] \
+            == [[(c, g.n, g.edges) for c, g in level.items()]
+                for level in built]
+        assert sizes == [len(level) for level in built[1:]]
+
+    def test_promotion_gives_the_fresh_reports(self, fresh_levels):
+        def reports(ms):
+            fresh_levels()
+            return {m: replace(certify_zhai_shu(m), wall_time=0.0)
+                    for m in ms}
+
+        assert reports((9, 10)) == reports((10, 9))
+
+    @pytest.mark.parametrize("certifier, m, key", [
+        (certify_zhai_shu, 10, (True, False, None)),
+        (certify_main, 12, (True, True, None)),
+    ], ids=["zhai-shu", "main"])
+    def test_fewer_labellings_than_classes(self, fresh_levels, certifier, m,
+                                           key):
+        # every class but the untied ones of the top level is labelled
+        # once, and tied deletions add a few more
+        _canonical_labelling.cache_clear()
+        certifier(m)
+        levels = certify._LEVELS["odd-conn", key]
+        assert len(levels) == m + 1 and type(levels[m]) is list
+        assert canonical_graph.cache_info().misses < sum(map(len, levels))
 
 
 class TestReports:

@@ -225,6 +225,13 @@ class TestCommands:
         assert code == 1
         assert "budget" in err
 
+    def test_budget_error_names_the_certified_class(self, capsys):
+        # the certifier grows the connected class but certifies the whole
+        code, _, err = run(capsys, "certify", "thm15", "14")
+        assert code == 1
+        assert err == ("error: edge budget is m <= 13 for triangle-free "
+                       "non-bipartite\n")
+
     def test_certify_far_past_the_budget_exit_1(self):
         # the budget is checked before SK_{2,100} (beyond the
         # canonical-form limit) is built
