@@ -27,8 +27,8 @@ their levels live in one store, `_LEVELS`, built by one loop,
 `_levels_up_to`.  A level is labelled (its classes keyed by canonical form,
 in canonical-form order) when something reads its forms: the growth of the
 next level, or a caller of the enumerators.  A certifier reads only graphs
-and level sizes, so the top level of its request keeps its untied children
-unlabelled (`_graphs_only`); the next reader that needs forms labels it.
+and level sizes (`_graph_levels`, `_graphs_only`), so the top level of its
+request keeps its untied classes unlabelled until such a reader comes.
 
 The extremal graphs of the non-bipartite, Mantel and Erdos certifiers are
 connected, so those certifiers build only the connected levels and count
@@ -499,18 +499,25 @@ def _not_a_cut_vertex(masks: Sequence[int], v: int) -> bool:
 # class, ("odd", prune key) for its non-bipartite classes, grown from odd
 # cycles, ("vertex", triangle_free) for the vertex-indexed levels, or one of
 # these with "-conn" for its connected classes ("conn" for "edge").
-# levels[k] holds the graphs with k edges (k vertices for "vertex"): the
-# union of the children that the classes of level k-1 accept as their
-# canonical parent, and of the roots of level k.  A level is labelled, a
-# dict canonical form -> graph in canonical-form order, once anything has
-# read its forms: the growth of level k+1, whose parents need them, or a
-# reader that asks for them.  The top level of a request for graphs alone
-# (a certifier's) is stored as the list of its graphs instead, with its
-# untied children never labelled, until such a reader labels it in place.
-# Only the last stored level of a growth can be a list.
+# levels[k] maps canonical form -> graph with k edges (k vertices for
+# "vertex"), in canonical-form order: the union of the children that the
+# classes of level k-1 accept as their canonical parent, and of the roots
+# of level k.  A level is labelled, and stored here, once anything reads
+# its forms: the growth of the next level, whose parents need them, or a
+# caller outside a certifier.  Until then the top level of a certifier's
+# request is kept in `top` (see _Levels).
 _Growth = tuple[str, object]
-_Level = dict[bytes, Graph] | list[Graph]
-_LEVELS: dict[_Growth, list[_Level]] = {}
+
+
+class _Levels(list):
+    """The labelled levels 0..k-1 of a growth and, in `top`, level k when
+    a certifier built it as the top of its request and nothing has read its
+    forms since (None otherwise): its graphs keyed by the order they were
+    built in, since its untied classes were never labelled."""
+    top: dict[int, Graph] | None = None
+
+
+_LEVELS: dict[_Growth, _Levels] = {}
 
 # kind -> the pieces whose deletion leaves a graph of the growth's class.
 # Every connected graph but K2 and K1 has such an edge and vertex (a leaf of
@@ -576,46 +583,45 @@ def _start_pool(jobs: int):
 atexit.register(_start_pool.cache_clear)
 
 
-# false while a certifier runs (see _graphs_only)
-_READS_FORMS: ContextVar[bool] = ContextVar("reads_forms", default=True)
+# True while a certifier runs (see _graphs_only)
+_GRAPHS_ONLY: ContextVar[bool] = ContextVar("graphs_only", default=False)
 
 
 def _graphs_only(certifier: Callable[..., _R]) -> Callable[..., _R]:
-    """The certifier, run so that the top level of each request it makes
-    is left unlabelled: it reads the graphs and sizes of its levels, and
-    labels only the graphs its report names."""
+    """The certifier, run so that `enumerate_graphs` and
+    `graphs_on_vertices` read their level as `_graph_levels` does: it reads
+    graphs and level sizes, and labels only the graphs its report names.
+    A context variable carries this because the certifiers call the
+    enumerators through the module globals, which the benchmark's tracer
+    wraps and the tests replace with functions of the public signatures, so
+    no argument can."""
     @wraps(certifier)
     def run(*args, **kwargs):
-        token = _READS_FORMS.set(False)
+        token = _GRAPHS_ONLY.set(True)
         try:
             return certifier(*args, **kwargs)
         finally:
-            _READS_FORMS.reset(token)
+            _GRAPHS_ONLY.reset(token)
     return run
 
 
-def _graphs(level: _Level) -> Iterable[Graph]:
-    return level if type(level) is list else level.values()
-
-
-def _levels_up_to(m: int, growth: _Growth, jobs: int = 1) -> list[_Level]:
-    """Levels 0..m of the growth, built on the ones already stored; the
-    pool grows each level that has at least 4 parents per job.  Every level
-    is labelled, except that under `_graphs_only` a level m that the call
-    builds, or that an earlier such call left, stays the list of its
-    graphs.  Such a level is labelled when the next level grows from it,
-    which labels its graphs for their generators anyway (in the workers,
-    with a pool), or when a call outside `_graphs_only` asks for it."""
-    forms = _READS_FORMS.get()
-    levels = _LEVELS.setdefault(growth, [{}])
-    while len(levels) <= m:
-        k = len(levels)
-        below = levels[k - 1]
-        unlabelled = type(below) is list
-        parents = [(None, g) for g in below] if unlabelled else list(
-            below.items())
-        top = k == m and not forms
-        grow = partial(_grow, top=True) if top else _grow
+def _levels_up_to(m: int, growth: _Growth, jobs: int = 1,
+                  top: bool = False) -> _Levels:
+    """The stored levels of the growth, built on until they hold levels
+    0..m, labelled; the pool grows each level that has at least 4 parents
+    per job.  With `top`, a level m that the call builds, or that an
+    earlier such call left, stays in `top` (see _graph_levels).  A level
+    kept there is labelled when the next level grows from it, which labels
+    its graphs for their generators anyway (in the workers, with a pool),
+    or when a call without `top` asks for it."""
+    levels = _LEVELS.setdefault(growth, _Levels([{}]))
+    while len(levels) + (levels.top is not None) <= m:
+        below = levels.top
+        k = len(levels) + (below is not None)
+        parents = (list(levels[-1].items()) if below is None
+                   else [(None, g) for g in below.values()])
+        last = top and k == m
+        grow = partial(_grow, top=True) if last else _grow
         if jobs > 1 and len(parents) >= 4 * jobs:
             from concurrent.futures.process import BrokenProcessPool
             try:
@@ -627,15 +633,38 @@ def _levels_up_to(m: int, growth: _Growth, jobs: int = 1) -> list[_Level]:
                 raise
         else:
             blocks = [grow(growth, parents)]
-        if unlabelled:
-            levels[k - 1] = _union(zip(
-                chain.from_iterable(f for f, _ in blocks), below))
+        if below is not None:
+            levels.append(_union(zip(
+                chain.from_iterable(f for f, _ in blocks), below.values())))
+            levels.top = None
         kids = chain(chain.from_iterable(c for _, c in blocks),
                      _roots(growth, k))
-        levels.append([h for _, h in kids] if top else _union(kids))
-    if forms and type(levels[m]) is list:
-        levels[m] = _union((canonical_form(g), g) for g in levels[m])
-    return levels[:m + 1]
+        if last:
+            levels.top = dict(enumerate(h for _, h in kids))
+        else:
+            levels.append(_union(kids))
+    if not top and len(levels) == m:
+        levels.append(_union((canonical_form(g), g)
+                             for g in levels.top.values()))
+        levels.top = None
+    return levels
+
+
+def _graph_levels(m: int, growth: _Growth, jobs: int = 1
+                  ) -> list[dict[object, Graph]]:
+    """Levels 0..m of the growth, as a certifier reads them, which is by
+    their graphs and sizes alone: a level m that this builds, or that an
+    earlier such call left, is keyed by the order its graphs were built in,
+    and its untied classes are not labelled."""
+    levels = _levels_up_to(m, growth, jobs, top=True)
+    return levels[:m + 1] if len(levels) > m else levels + [levels.top]
+
+
+def _top_graphs(m: int, growth: _Growth, jobs: int) -> Iterable[Graph]:
+    """The graphs of level m: in canonical-form order, or as
+    `_graph_levels` reads them while a certifier runs."""
+    read = _graph_levels if _GRAPHS_ONLY.get() else _levels_up_to
+    return read(m, growth, jobs)[m].values()
 
 
 def edge_budget(filt: ClassFilter) -> int:
@@ -677,10 +706,9 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
     """All isomorphism classes with m edges and no isolated vertices in
     the filter's class, in canonical-form order: the stored level of the
     growth the filter picks, built (and the arguments checked) by the call.
-    A certifier (see _graphs_only) may get them in the order they were
-    built."""
-    growth = _checked_growth(m, filt, jobs)
-    return iter(_graphs(_levels_up_to(m, growth, jobs)[m]))
+    A certifier (see _graphs_only) gets them in the order they were built.
+    """
+    return iter(_top_graphs(m, _checked_growth(m, filt, jobs), jobs))
 
 
 def graphs_on_vertices(n: int, triangle_free: bool = True,
@@ -693,7 +721,7 @@ def graphs_on_vertices(n: int, triangle_free: bool = True,
     if n > VERTEX_BUDGET:
         raise BudgetError(f"vertex budget is n <= {VERTEX_BUDGET}")
     kind = "vertex-conn" if connected else "vertex"
-    return list(_graphs(_levels_up_to(n, (kind, triangle_free))[n]))
+    return list(_top_graphs(n, (kind, triangle_free), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +743,8 @@ def _euler(c: list[int]) -> list[int]:
     return a
 
 
-def _bipartite_sizes(levels: list[_Level]) -> list[int]:
-    return [sum(map(is_bipartite, _graphs(level))) for level in levels]
+def _bipartite_sizes(levels: list[dict[object, Graph]]) -> list[int]:
+    return [sum(map(is_bipartite, level.values())) for level in levels]
 
 
 def _non_bipartite_count(m: int, key: _PruneKey) -> int:
@@ -725,12 +753,12 @@ def _non_bipartite_count(m: int, key: _PruneKey) -> int:
     component is non-bipartite, so it is [x^m] (E(c_nb) - 1) E(c_b) for the
     connected non-bipartite and bipartite counts c_nb and c_b.  The first
     non-bipartite class has g edges, so c_b is needed only up to m - g."""
-    odd = [len(level) for level in _levels_up_to(m, ("odd-conn", key))]
+    odd = [len(level) for level in _graph_levels(m, ("odd-conn", key))]
     g = next((k for k, size in enumerate(odd) if size), m + 1)
     if g > m:
         return 0
     # small levels: m - g edges is at most m - 3, and no pool is started
-    bip = _euler(_bipartite_sizes(_levels_up_to(m - g, ("conn", key))))
+    bip = _euler(_bipartite_sizes(_graph_levels(m - g, ("conn", key))))
     odd = _euler(odd)
     return sum(odd[k] * bip[m - k] for k in range(g, m + 1))
 
@@ -995,7 +1023,7 @@ def certify_mantel(n: int) -> CertificationReport:
     # an edge joining two components closes no cycle, so the maximizers are
     # connected; the other classes are multisets of connected ones
     gs = graphs_on_vertices(n, triangle_free=True, connected=True)
-    sizes = [len(level) for level in _levels_up_to(n, ("vertex-conn", True))]
+    sizes = [len(level) for level in _graph_levels(n, ("vertex-conn", True))]
     bound = float(n * n // 4)
     decision = _verdict(gs, [float(g.m) for g in gs], bound,
                         _forms(complete_bipartite(n // 2, (n + 1) // 2)))
@@ -1015,7 +1043,7 @@ def certify_erdos(n: int) -> CertificationReport:
     # classes less the bipartite ones
     gs = [g for g in graphs_on_vertices(n, triangle_free=True, connected=True)
           if not is_bipartite(g)]
-    levels = _levels_up_to(n, ("vertex-conn", True))
+    levels = _graph_levels(n, ("vertex-conn", True))
     examined = (_euler([len(level) for level in levels])[n]
                 - _euler(_bipartite_sizes(levels))[n])
     bound = float((n - 1) ** 2 // 4 + 1)

@@ -786,13 +786,14 @@ class TestUnlabelledTop:
             self, fresh_levels, pool_starts, growth, top, jobs):
         # each level is first a certifier's top, then the next level's
         # parents; the last is labelled by a reader that needs its forms
-        read = certify._graphs_only(certify._levels_up_to)
         sizes = []
         for m in range(1, top + 1):
-            level = read(m, growth, jobs)[m]
-            assert type(level) is list
+            level = certify._graph_levels(m, growth, jobs)[m]
+            assert level is certify._LEVELS[growth].top
+            assert len(certify._LEVELS[growth]) == m
             sizes.append(len(level))
         later = certify._levels_up_to(top, growth, jobs)
+        assert later.top is None
         fresh_levels()
         built = certify._levels_up_to(top, growth, jobs)
         assert [[(c, g.n, g.edges) for c, g in level.items()]
@@ -820,8 +821,9 @@ class TestUnlabelledTop:
         _canonical_labelling.cache_clear()
         certifier(m)
         levels = certify._LEVELS["odd-conn", key]
-        assert len(levels) == m + 1 and type(levels[m]) is list
-        assert canonical_graph.cache_info().misses < sum(map(len, levels))
+        assert len(levels) == m and levels.top
+        classes = sum(map(len, levels)) + len(levels.top)
+        assert canonical_graph.cache_info().misses < classes
 
 
 class TestReports:

@@ -68,11 +68,30 @@ def test_certifiers_call_through_module_globals(monkeypatch, fresh_levels,
     report = certifier(arg)
     assert calls[enumerator] == 1
     assert report.graphs_examined > 0
-    # a cold build labels every class of the levels it keeps labelled, not
-    # only the named ones; the certifier's top level is left unlabelled
-    levels = list(chain.from_iterable(certify._LEVELS.values()))
-    labelled = sum(len(level) for level in levels if isinstance(level, dict))
-    assert calls["canonical_form"] >= labelled
-    assert any(isinstance(level, list) for level in levels)
+    # a cold build labels every class it keeps, not only the named ones
+    kept = sum(map(len, chain.from_iterable(certify._LEVELS.values())))
+    assert calls["canonical_form"] >= kept
     other = ({"enumerate_graphs", "graphs_on_vertices"} - {enumerator}).pop()
     assert calls[other] == 0
+
+
+@pytest.mark.parametrize("reader", ["labelled read", "next level"])
+def test_a_certifiers_top_is_labelled_through_the_module_global(
+        monkeypatch, fresh_levels, reader):
+    # a certifier leaves the untied classes of its top level unlabelled;
+    # whichever reader labels them later calls canonical_form through the
+    # module global, so a traced run times that labelling too
+    certify.certify_zhai_shu(9)
+    growth = ("odd-conn", (True, False, None))
+    top = certify._LEVELS[growth].top
+    assert top
+    labelled = []
+    real = certify.canonical_form
+
+    def counting(g):
+        labelled.append(g)
+        return real(g)
+
+    monkeypatch.setattr(certify, "canonical_form", counting)
+    certify._levels_up_to(9 if reader == "labelled read" else 10, growth)
+    assert {id(g) for g in top.values()} <= {id(g) for g in labelled}
