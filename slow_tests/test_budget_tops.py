@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python -m pytest -q slow_tests
 
-A certifier keeps the untied classes of the top level of its request
-unlabelled.  They skip the per-parent deduplication by canonical form and
+A certifier keeps unlabelled the classes of the top level of its request
+that need no form to be accepted once: the untied ones, and the tied ones
+whose ties are twin swaps of the new piece.  They skip the per-parent deduplication by canonical form and
 the "came from two parents" check of `certify._union`, and they are unique
 only because `automorphism_generators` generate the whole automorphism
 group.  Tier-1 compares such levels with labelled builds up to m = 9..11

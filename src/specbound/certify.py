@@ -28,7 +28,8 @@ their levels live in one store, `_LEVELS`, built by one loop,
 in canonical-form order) when something reads its forms: the growth of the
 next level, or a caller of the enumerators.  A certifier reads only graphs
 and level sizes (`_graph_levels`, `_graphs_only`), so the top level of its
-request keeps its untied classes unlabelled until such a reader comes.
+request keeps unlabelled the classes that need no form to be accepted once
+(see `_children`) until such a reader comes.
 
 The extremal graphs of the non-bipartite, Mantel and Erdos certifiers are
 connected, so those certifiers build only the connected levels and count
@@ -156,7 +157,9 @@ def _children(parents: Iterable[tuple[bytes | None, Graph]],
     order, and (canonical form, h) for every child h = g + piece whose
     canonical parent is g.  A parent that comes with None for its form is
     labelled here, as it must be for its generators anyway.  With `top`,
-    the form of an untied child is not computed and reads None.
+    the form of a child whose allowed tied pieces all lie in the new
+    piece's orbit by swaps of twins (untied children among them) is not
+    computed and reads None.
 
     Pieces are ranked by an isomorphism invariant, `allowed(masks, f)`
     says whether deleting piece f from the graph with these neighbour
@@ -179,10 +182,16 @@ def _children(parents: Iterable[tuple[bytes | None, Graph]],
     in the new piece's Aut(h)-orbit leaves a copy of g, which cannot beat
     g's own form, so it is not deleted.  Two qualifying tied pieces may
     still lie in different orbits, so the tied children of one parent are
-    also deduplicated by canonical form.  An untied child needs no form:
-    its new piece is the only one of its rank, so an isomorphism between
-    two of g's untied children maps one new piece onto the other and lies
-    in Aut(g), whose orbit step has already skipped the second.
+    also deduplicated by canonical form.  A child whose allowed tied
+    pieces all lie in the new piece's Aut(h)-orbit needs no form: it is
+    accepted, and an isomorphism onto it from another child of g maps that
+    child's new piece to an allowed piece of least rank (both tests are
+    invariant), so into the orbit; composed with an automorphism of
+    h it maps new piece onto new piece and restricts to an automorphism of
+    g, whose orbit step has already skipped one of the two.  Without a
+    labelling, the orbit is known to hold a tied piece when swaps of twins
+    carry the new piece onto it (_twin_swap); an untied child qualifies
+    with no swap.
     """
     forms: list[bytes] = []
     out: list[tuple[bytes | None, Graph]] = []
@@ -201,7 +210,8 @@ def _children(parents: Iterable[tuple[bytes | None, Graph]],
                     continue
                 seen |= _orbit(added, gens, _moved_edges)
             h = Graph(n, edges)
-            if top and not ties:
+            if top and all(_twin_swap(h._masks, edges, f) for f in ties
+                           if allowed(h._masks, f)):
                 out.append((None, h))
                 continue
             key = canonical_form(h)  # also labels h for its generators
@@ -215,6 +225,22 @@ def _children(parents: Iterable[tuple[bytes | None, Graph]],
             kids.setdefault(key, h)
         out.extend(kids.items())
     return forms, out
+
+
+def _twin_swap(masks: Sequence[int], edges: tuple, piece) -> bool:
+    """Whether swaps of twins carry the new piece of the child with these
+    masks and edges (its last vertex, or its last edge for an edge piece)
+    onto the piece.  Twins x, y have N(x) - y = N(y) - x, so swapping them
+    is an automorphism.  Being twins is an equivalence relation, and every
+    permutation that keeps each of its classes is an automorphism, so the
+    two ends of an edge can be sent to twins of their own at once."""
+    def twins(x: int, y: int) -> bool:
+        return x == y or masks[x] & ~(1 << y) == masks[y] & ~(1 << x)
+
+    if type(piece) is int:
+        return twins(piece, len(masks) - 1)
+    (a, b), (c, d) = edges[-1], piece
+    return twins(a, c) and twins(b, d) or twins(a, d) and twins(b, c)
 
 
 def _moved(p: bytes, piece):
@@ -513,7 +539,7 @@ class _Levels(list):
     """The labelled levels 0..k-1 of a growth and, in `top`, level k when
     a certifier built it as the top of its request and nothing has read its
     forms since (None otherwise): its graphs keyed by the order they were
-    built in, since its untied classes were never labelled."""
+    built in, since some of its classes were never labelled."""
     top: dict[int, Graph] | None = None
 
 
@@ -655,7 +681,7 @@ def _graph_levels(m: int, growth: _Growth, jobs: int = 1
     """Levels 0..m of the growth, as a certifier reads them, which is by
     their graphs and sizes alone: a level m that this builds, or that an
     earlier such call left, is keyed by the order its graphs were built in,
-    and its untied classes are not labelled."""
+    and not every class of it is labelled."""
     levels = _levels_up_to(m, growth, jobs, top=True)
     return levels[:m + 1] if len(levels) > m else levels + [levels.top]
 

@@ -764,8 +764,10 @@ class TestConnectedReports:
 
 class TestUnlabelledTop:
     """A certifier reads the graphs and sizes of its levels, not their
-    forms, so the top level of its request keeps its untied classes
-    unlabelled until a reader that needs forms labels it."""
+    forms, so the top level of its request keeps unlabelled the classes
+    that need no form to be accepted once (untied ones, and tied ones whose
+    ties are twin swaps of the new piece) until a reader that needs forms
+    labels it."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("growth, top", [
@@ -802,6 +804,20 @@ class TestUnlabelledTop:
                 for level in built]
         assert sizes == [len(level) for level in built[1:]]
 
+    @pytest.mark.parametrize("edges, piece, swapped", [
+        # K_{1,3} grown by its leaf 3: the leaves are twins
+        (((0, 1), (0, 2), (0, 3)), 1, True),
+        # P_4 grown by the leaf 3 at 0: 2 hangs from 1, not from 0
+        (((0, 1), (1, 2), (0, 3)), 2, False),
+        # C_4 closed by (0, 3): 0, 2 and 1, 3 are twins
+        (((0, 1), (1, 2), (2, 3), (0, 3)), (1, 2), True),
+        # P_4 grown by (2, 3): the shared end 2 is no twin swap of 3 and 1
+        (((0, 1), (1, 2), (2, 3)), (1, 2), False),
+    ])
+    def test_twin_swaps(self, edges, piece, swapped):
+        masks = Graph(4, edges)._masks
+        assert certify._twin_swap(masks, edges, piece) is swapped
+
     def test_promotion_gives_the_fresh_reports(self, fresh_levels):
         def reports(ms):
             fresh_levels()
@@ -816,7 +832,7 @@ class TestUnlabelledTop:
     ], ids=["zhai-shu", "main"])
     def test_fewer_labellings_than_classes(self, fresh_levels, certifier, m,
                                            key):
-        # every class but the untied ones of the top level is labelled
+        # every class but the unlabelled ones of the top level is labelled
         # once, and tied deletions add a few more
         _canonical_labelling.cache_clear()
         certifier(m)

@@ -78,7 +78,7 @@ def test_certifiers_call_through_module_globals(monkeypatch, fresh_levels,
 @pytest.mark.parametrize("reader", ["labelled read", "next level"])
 def test_a_certifiers_top_is_labelled_through_the_module_global(
         monkeypatch, fresh_levels, reader):
-    # a certifier leaves the untied classes of its top level unlabelled;
+    # a certifier leaves classes of its top level unlabelled;
     # whichever reader labels them later calls canonical_form through the
     # module global, so a traced run times that labelling too
     certify.certify_zhai_shu(9)
