@@ -7,10 +7,11 @@ that need no form to be accepted once: the untied ones, and the tied ones
 whose ties are twin swaps of the new piece.  They skip the per-parent
 deduplication by canonical form and the "came from two parents" check of
 `certify._union`, and they are unique only because
-`automorphism_generators` generate the whole automorphism group.  Tier-1 compares such levels with labelled builds up to m = 9..11
-edges and n = 7 vertices; here the level each certifier reads at its
-budget, labelled once it has been read, must equal a fresh labelled build,
-and the certifier's report must not depend on which of the two it read."""
+`automorphism_generators` generate the whole automorphism group.  Tier-1
+compares such levels with labelled builds up to m = 9..11 edges and n = 7
+vertices; here the level each certifier reads at its budget, labelled once
+it has been read, must equal a fresh labelled build, and the certifier's
+report must not depend on which of the two it read."""
 
 from dataclasses import replace
 
