@@ -9,10 +9,12 @@ failed or a certifier returned VIOLATED.
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import re
 import sys
 import time
+from collections.abc import Callable
 from contextlib import suppress
 from functools import partial
 from itertools import count
@@ -51,51 +53,74 @@ _JOBS = _int_at_least(1)
 _PRECISION = _int_at_least(0)
 
 
-def parse_construction(tokens: list[str]) -> G.Graph:
+def _construction(tokens: list[str]) -> tuple[int, Callable[[], G.Graph]]:
+    """The vertex count of a construction and a function that builds it.
+    The count comes from the words' arguments, so a size check can come
+    before any edge is built."""
     if not tokens:
         raise G.GraphError("empty construction")
     head, rest = tokens[0], tokens[1:]
     if head == "Blowup":
         if len(rest) != 2:
             raise G.GraphError("Blowup expects BASE and a size list")
-        base = parse_construction([rest[0]])
+        base_n, base = _construction([rest[0]])
         sizes = [int(x) for x in rest[1].split(",")]
-        return G.blow_up(base, sizes)
-    # word -> (argument count, builder); C<n>, P<n> and K<n> stand for C7,
-    # P5, K4, ..., whose size reaches the builder as its first argument
+        # one size >= 1 per base vertex makes the sum at least the base's
+        # count; for a list that blow_up rejects, the max still keeps an
+        # oversized base from being built
+        return (max(base_n, sum(sizes)),
+                lambda: G.blow_up(base(), sizes))
+    # word -> (argument count, graph function, vertex count from the
+    # arguments); C<n>, P<n> and K<n> stand for C7, P5, K4, ..., whose size
+    # reaches both functions as their first argument.  A gallery graph is fixed and small, so
+    # its count is read off a build.
     words = {
-        "C<n>": (0, G.cycle),
-        "P<n>": (0, G.path),
-        "K<n>": (0, G.complete),
-        "2P2": (0, lambda: G.disjoint_union(G.path(2), G.path(2))),
-        **{pid.name: (0, partial(G.pattern, pid)) for pid in G.PatternId},
-        "Kst": (2, G.complete_bipartite),
-        "SK": (2, G.sk),
-        "S3": (2, lambda a, b: G.s_odd(a, b, 2)),
-        "Sodd": (3, G.s_odd),
-        "Bk": (1, G.book),
-        "StarPlus": (1, G.star_plus_edge),
+        "C<n>": (0, G.cycle, lambda n: n),
+        "P<n>": (0, G.path, lambda n: n),
+        "K<n>": (0, G.complete, lambda n: n),
+        "2P2": (0, lambda: G.disjoint_union(G.path(2), G.path(2)),
+                lambda: 4),
+        **{pid.name: (0, partial(G.pattern, pid),
+                      lambda pid=pid: G.pattern(pid).n)
+           for pid in G.PatternId},
+        "Kst": (2, G.complete_bipartite, lambda s, t: s + t),
+        "SK": (2, G.sk, lambda a, b: a + b + 1),
+        "S3": (2, lambda a, b: G.s_odd(a, b, 2), lambda a, b: a + b + 3),
+        "Sodd": (3, G.s_odd, lambda a, b, k: a + b + 2 * k - 1),
+        "Bk": (1, G.book, lambda k: k + 2),
+        "StarPlus": (1, G.star_plus_edge, lambda m: m),
     }
     sized = re.fullmatch(r"([CPK])(\d+)", head)
     word, size = (f"{sized[1]}<n>", [sized[2]]) if sized else (head, [])
     if "<" in head or word not in words:  # "C<n>" itself is no word
         raise G.GraphError(f"unknown construction {head!r}; {_CONSTRUCT_HELP}")
-    count, build = words[word]
+    count, build, order = words[word]
     if len(rest) != count:
         raise G.GraphError(f"{head} expects {count} argument(s)")
-    return build(*(int(x) for x in size + rest))
+    args = [int(x) for x in size + rest]
+    return order(*args), partial(build, *args)
 
 
-def _input_graph(args) -> G.Graph:
+def parse_construction(tokens: list[str]) -> G.Graph:
+    return _construction(tokens)[1]()
+
+
+def _input_graph(args, max_n: float = math.inf, limited: str = "") -> G.Graph:
+    """The graph of a command's input.  A construction with more than
+    max_n vertices is rejected as `limited` rejects it, before it is built;
+    a graph6 string is read as given."""
     if args.construct:
-        return parse_construction(args.construct)
+        n, build = _construction(args.construct)
+        if n > max_n:
+            raise G.SizeLimitError(f"{limited} limited to n <= {max_n}")
+        return build()
     if args.graph6 is None:
         raise G.GraphError("need a graph6 string or --construct")
     return G.from_graph6(args.graph6)
 
 
 def cmd_spectrum(args) -> int:
-    g = _input_graph(args)
+    g = _input_graph(args)  # the eigensolver has no size limit
     s = spectra.eigenvalues(g)
     p = args.precision
     print(" ".join(f"{v:.{p}f}" for v in s.values))
@@ -107,7 +132,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    g = _input_graph(args)
+    g = _input_graph(args, spectra.CHARPOLY_MAX_N, "char_poly")
     cp = spectra.char_poly(g)
     terms = []
     for k in range(cp.degree, -1, -1):
@@ -158,7 +183,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    g = parse_construction(args.construct)
+    g = _input_graph(args, G.GRAPH6_MAX_N, "graph6 writer")
     print(G.to_graph6(g))
     print(f"n = {g.n}  m = {g.m}  triangle-free = {G.is_triangle_free(g)}  "
           f"bipartite = {G.is_bipartite(g)}  odd girth = {G.odd_girth(g)}")

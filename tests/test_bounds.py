@@ -21,6 +21,7 @@ from specbound.bounds import (
     PENDANT_SITES,
     RootBracket,
     _bracket_form,
+    _close_sign,
     _dyadic_sign,
     _root_window,
     _signed_value,
@@ -485,14 +486,15 @@ class TestCertifiedSigns:
         assert float_decided > 1000
 
     def test_exact_evaluations_are_rare(self, exact_calls):
-        """At most one exact evaluation per bracket on average (the old
-        1e-9 window needed about 17)."""
+        """The running error bound leaves 52 exact evaluations over these
+        3,990 brackets; the static guard alone left 909, and the old 1e-9
+        window needed about 17 per bracket."""
         betas, gammas = range(5, 2001), range(7, 2001)
         for m in betas:
             bounds.beta_bracket.__wrapped__(m)  # bypass the bracket cache
         for m in gammas:
             bounds.gamma_bracket.__wrapped__(m)
-        assert len(exact_calls) <= len(betas) + len(gammas)
+        assert len(exact_calls) <= 75
 
     def test_unrepresentable_coefficients_go_exact(self, exact_calls):
         # x^2 - 10^400: the constant is no double at all, so every sign
@@ -514,6 +516,111 @@ class TestCertifiedSigns:
         assert any(isinstance(c, Fraction) for c in f_poly(4, 13).coeffs)
         assert not hasattr(gamma_bracket(101), "__dict__")
         assert not hasattr(f_poly(3, 10), "__dict__")
+
+
+def clustered_poly(nums, den) -> IntPoly:
+    """prod (den x - n_i): roots n_i/den, often repeated or close."""
+    p = IntPoly((1,))
+    for n in nums:
+        p = p * IntPoly((-n, den))
+    return p
+
+
+class TestRunningBound:
+    """A float value inside the static guard takes its sign from the
+    running error bound when that decides it, and exactly otherwise; a sign
+    the bound decides must be the exact one."""
+
+    def test_signs_next_to_large_m_brackets(self, exact_calls):
+        """Next to a bracket's ends almost every float value lies inside
+        the static guard, and many still lie outside the running bound."""
+        rng = random.Random(53)
+        decided = 0
+        for m in (rng.sample(range(10 ** 5, 10 ** 6), 20)
+                  + large_m_sample(59, 4)):
+            for bracket, poly, lo, hi in start_brackets(m):
+                rb = bracket(m)
+                ic = poly.as_integer()
+                fc = _bracket_form(ic, lo, hi)[0]
+                for end in (rb.lo, rb.hi):
+                    for way in (-math.inf, math.inf):
+                        x = end
+                        for _ in range(64):
+                            x = math.nextafter(x, way)
+                            before = len(exact_calls)
+                            s = _close_sign(ic, fc, x)
+                            if len(exact_calls) == before:
+                                decided += 1
+                                assert s == _dyadic_sign(ic, x), (m, x)
+        assert decided > 18000  # 20,212 of the 20,480 points
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=6),
+           st.integers(1, 7), st.integers(-40, 40))
+    def test_clustered_roots(self, nums, den, steps):
+        """Near a repeated root the float value is all rounding noise, and
+        near a simple one it is not: either way a sign the bound decides
+        must be the exact one."""
+        p = clustered_poly(nums, den)
+        ic = p.as_integer()
+        fc = _bracket_form(ic, 1.0, 61.0)[0]
+        for n in set(nums):
+            x = n / den
+            for _ in range(abs(steps)):
+                x = math.nextafter(x, math.copysign(math.inf, steps))
+            assert _close_sign(ic, fc, x) == _dyadic_sign(ic, x), x
+
+    def test_subnormal_intermediates_go_exact(self, exact_calls):
+        """x^3 at 1e-105: Horner's x^2 and x^3 are subnormal, where a
+        rounding error is no longer relative to the result."""
+        ic = (0, 0, 0, 1)
+        fc = _bracket_form(ic, -1.0, 1.0)[0]
+        assert _close_sign(ic, fc, 1e-105) == 1
+        assert exact_calls == [1e-105]
+
+    def test_overflow_goes_exact(self, exact_calls):
+        """x^2 - 1 at 1e200: x^2 overflows, so the bound is not finite."""
+        ic = (-1, 0, 1)
+        fc = _bracket_form(ic, 0.0, 1.0)[0]
+        assert _close_sign(ic, fc, 1e200) == 1
+        assert exact_calls == [1e200]
+
+
+def stepped_ends(poly: IntPoly, lo: float, hi: float) -> tuple[float, float]:
+    """The start ends after the bisection's one-float steps, with signs
+    decided exactly."""
+    ic = poly.as_integer()
+    if _dyadic_sign(ic, lo) >= 0:
+        lo = math.nextafter(lo, -math.inf)
+    if _dyadic_sign(ic, hi) < 0:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+class TestStopRules:
+    """The bisection stops at BISECT_WIDTH, on adjacent floats, or after 200
+    halvings, whichever comes first, as the exact-only bisection does."""
+
+    def test_cap_of_200_halvings(self):
+        """x - 1 on [0.5, 1e60]: 200 halvings leave a width of about
+        1e60 / 2^200 = 0.62, far above BISECT_WIDTH."""
+        p = IntPoly((-1, 1))
+        rb = bisect_largest_root(p, 0.5, 1e60)
+        assert (rb.lo, rb.hi) == exact_bisect(p, 0.5, 1e60)
+        assert rb.hi - rb.lo == pytest.approx(1e60 / 2 ** 200, rel=1e-6)
+        assert rb.lo < 1.0 < rb.hi
+
+    def test_adjacent_floats_at_large_m(self):
+        """From m = 10^14 a float step at the root exceeds BISECT_WIDTH:
+        at m = 10^14 it is 2^-29, about 1.86e-9."""
+        rng = random.Random(61)
+        for m in [10 ** 14] + rng.sample(range(10 ** 14, 10 ** 15), 20):
+            for bracket, poly, lo, hi in start_brackets(m):
+                rb = bracket(m)
+                assert (rb.lo, rb.hi) == exact_bisect(
+                    poly, *stepped_ends(poly, lo, hi)), m
+                assert rb.hi == math.nextafter(rb.lo, math.inf), m
+                if m == 10 ** 14:
+                    assert rb.hi - rb.lo == 2.0 ** -29
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 import specbound
-from specbound import bounds, certify
-from specbound.cli import main, parse_construction
+from specbound import bounds, certify, graphs
+from specbound.cli import _construction, main, parse_construction
 from specbound.graphs import (
     canonical_form,
     complete_bipartite,
@@ -91,6 +91,33 @@ class TestConstructionLanguage:
         assert code == 1
         assert out == ""
         assert err == f"error: {word} expects {count} argument(s)\n"
+
+    @pytest.mark.parametrize("tokens", [
+        "C5", "P4", "K6", "2P2", *(pid.name for pid in PatternId),
+        "Kst 2 3", "SK 2 3", "S3 2 2", "Sodd 2 3 3", "Bk 3", "StarPlus 5",
+        "Blowup P3 1,2,1", "Blowup C5 2,1,3,1,1",
+    ])
+    def test_vertex_count_before_building(self, tokens):
+        n, build = _construction(tokens.split())
+        assert n == build().n
+
+    @pytest.mark.parametrize("argv, function, message", [
+        (("construct", "Kst", "500", "500"), "complete_bipartite",
+         "graph6 writer limited to n <= 62"),
+        (("construct", "Blowup", "K100000", "2"), "complete",
+         "graph6 writer limited to n <= 62"),
+        (("charpoly", "--construct", "SK", "16", "16"), "complete_bipartite",
+         "char_poly limited to n <= 32"),
+    ])
+    def test_oversized_construction_fails_unbuilt(self, capsys, monkeypatch,
+                                                  argv, function, message):
+        """The writer's or the solver's size error, before any edge."""
+        def unbuilt(*args):
+            raise AssertionError(f"{function} was called")
+
+        monkeypatch.setattr(graphs, function, unbuilt)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_blowup_token(self):
         g = parse_construction(["Blowup", "P2", "3,4"])
