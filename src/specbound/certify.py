@@ -26,10 +26,11 @@ II", J. Symb. Comput. 2014, for automorphisms read off the search).  All
 their levels live in one store, `_LEVELS`, built by one loop,
 `_levels_up_to`.  A level is labelled (its classes keyed by canonical form,
 in canonical-form order) when something reads its forms: the growth of the
-next level, or a caller of the enumerators.  A certifier reads only graphs
-and level sizes (`_graph_levels`, `_graphs_only`), so the top level of its
-request keeps unlabelled the classes that need no form to be accepted once
-(see `_children`) until such a reader comes.
+next level, or a caller of the enumerators, which always return labelled
+levels.  A certifier reads only graphs and level sizes, through
+`_certifier_level` and `_graph_levels`, so the top level of its request
+keeps unlabelled the classes that need no form to be accepted once (see
+`_children`) until such a reader comes.
 
 The extremal graphs of the non-bipartite, Mantel and Erdos certifiers are
 connected, so those certifiers build only the connected levels and count
@@ -53,9 +54,8 @@ import math
 import os
 import time
 from bisect import bisect_right
-from contextvars import ContextVar
-from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial, wraps
+from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -144,7 +144,6 @@ class ClassFilter:
 # ---------------------------------------------------------------------------
 
 _Piece = TypeVar("_Piece")
-_R = TypeVar("_R")
 
 
 def _children(parents: Iterable[tuple[bytes | None, Graph]],
@@ -481,7 +480,6 @@ def _vertex_growth(g: Graph, triangle_free: bool,
         if mine < 0 or connected and not nb:
             continue
         size = mine >> _NDS_BITS
-        edges = g.edges + tuple((v, k) for v in range(k) if nb >> v & 1)
         ties = []
         child = None
         for r, v in islice(ranked, bisect_right(ranks, mine)):
@@ -497,7 +495,8 @@ def _vertex_growth(g: Graph, triangle_free: bool,
             if r == mine:
                 ties.append(v)
         else:
-            yield k + 1, edges, sorted(ties)
+            added = tuple((v, k) for v in range(k) if nb >> v & 1)
+            yield k + 1, g.edges + added, sorted(ties)
 
 
 def _drop_vertex(h: Graph, v: int) -> Graph:
@@ -530,7 +529,7 @@ def _not_a_cut_vertex(masks: Sequence[int], v: int) -> bool:
 # classes of level k-1 accept as their canonical parent, and of the roots
 # of level k.  A level is labelled, and stored here, once anything reads
 # its forms: the growth of the next level, whose parents need them, or a
-# caller outside a certifier.  Until then the top level of a certifier's
+# caller of the enumerators.  Until then the top level of a certifier's
 # request is kept in `top` (see _Levels).
 _Growth = tuple[str, object]
 
@@ -609,28 +608,6 @@ def _start_pool(jobs: int):
 atexit.register(_start_pool.cache_clear)
 
 
-# True while a certifier runs (see _graphs_only)
-_GRAPHS_ONLY: ContextVar[bool] = ContextVar("graphs_only", default=False)
-
-
-def _graphs_only(certifier: Callable[..., _R]) -> Callable[..., _R]:
-    """The certifier, run so that `enumerate_graphs` and
-    `graphs_on_vertices` read their level as `_graph_levels` does: it reads
-    graphs and level sizes, and labels only the graphs its report names.
-    A context variable carries this because the certifiers call the
-    enumerators through the module globals, which the benchmark's tracer
-    wraps and the tests replace with functions of the public signatures, so
-    no argument can."""
-    @wraps(certifier)
-    def run(*args, **kwargs):
-        token = _GRAPHS_ONLY.set(True)
-        try:
-            return certifier(*args, **kwargs)
-        finally:
-            _GRAPHS_ONLY.reset(token)
-    return run
-
-
 def _levels_up_to(m: int, growth: _Growth, jobs: int = 1,
                   top: bool = False) -> _Levels:
     """The stored levels of the growth, built on until they hold levels
@@ -686,11 +663,11 @@ def _graph_levels(m: int, growth: _Growth, jobs: int = 1
     return levels[:m + 1] if len(levels) > m else levels + [levels.top]
 
 
-def _top_graphs(m: int, growth: _Growth, jobs: int) -> Iterable[Graph]:
-    """The graphs of level m: in canonical-form order, or as
-    `_graph_levels` reads them while a certifier runs."""
-    read = _graph_levels if _GRAPHS_ONLY.get() else _levels_up_to
-    return read(m, growth, jobs)[m].values()
+def _certifier_level(m: int, growth: _Growth, jobs: int) -> list[Graph]:
+    """The graphs of level m of the growth, as `_graph_levels` builds them.
+    Every certifier reads its level through this one function, and labels
+    only the graphs its report names."""
+    return list(_graph_levels(m, growth, jobs)[m].values())
 
 
 def edge_budget(filt: ClassFilter) -> int:
@@ -727,27 +704,33 @@ def _checked_growth(m: int, filt: ClassFilter, jobs: int) -> _Growth:
     return kind, _prune_key(filt)
 
 
+def _checked_vertex_growth(n: int, triangle_free: bool,
+                           connected: bool) -> _Growth:
+    """The vertex-indexed growth of the class, once n is checked."""
+    if n < 1:
+        raise GraphError("needs n >= 1")
+    if n > VERTEX_BUDGET:
+        raise BudgetError(f"vertex budget is n <= {VERTEX_BUDGET}")
+    return "vertex-conn" if connected else "vertex", triangle_free
+
+
 def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
                      jobs: int = 1) -> Iterator[Graph]:
     """All isomorphism classes with m edges and no isolated vertices in
     the filter's class, in canonical-form order: the stored level of the
-    growth the filter picks, built (and the arguments checked) by the call.
-    A certifier (see _graphs_only) gets them in the order they were built.
-    """
-    return iter(_top_graphs(m, _checked_growth(m, filt, jobs), jobs))
+    growth the filter picks, built (and the arguments checked) by the call,
+    and labelled."""
+    growth = _checked_growth(m, filt, jobs)
+    return iter(_levels_up_to(m, growth, jobs)[m].values())
 
 
 def graphs_on_vertices(n: int, triangle_free: bool = True,
                        connected: bool = False) -> list[Graph]:
     """All isomorphism classes on exactly n labeled-off vertices (isolated
     vertices allowed unless connected), grown one vertex at a time, in
-    canonical-form order but for a certifier, as in enumerate_graphs."""
-    if n < 1:
-        raise GraphError("needs n >= 1")
-    if n > VERTEX_BUDGET:
-        raise BudgetError(f"vertex budget is n <= {VERTEX_BUDGET}")
-    kind = "vertex-conn" if connected else "vertex"
-    return list(_top_graphs(n, (kind, triangle_free), 1))
+    canonical-form order, labelled as in enumerate_graphs."""
+    growth = _checked_vertex_growth(n, triangle_free, connected)
+    return list(_levels_up_to(n, growth)[n].values())
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +871,6 @@ def _report(theorem: str, m: int, filt: str, start: float, examined: int,
         counterexamples=counter, conjecture=conjecture)
 
 
-@_graphs_only
 def _lambda_certify(theorem: str, m: int, filt: ClassFilter,
                     bound_and_equality: Callable[[], tuple[float, set[str]]],
                     quantity: Callable[[Graph], float], jobs: int,
@@ -899,17 +881,14 @@ def _lambda_certify(theorem: str, m: int, filt: ClassFilter,
     m past it builds no extremal graph and no bound.  Only the graphs the
     verdict names are labelled at level m."""
     start = time.perf_counter()
-    _checked_growth(m, filt, jobs)  # a budget error names the class certified
-    if filt.non_bipartite and not filt.connected:
-        # Gluing the components at a vertex keeps m and every cycle and
-        # raises lambda (Perron-Frobenius), so the connected classes hold
-        # every maximizer; the others are only counted.
-        graphs = list(enumerate_graphs(
-            m, replace(filt, connected=True), jobs))
-        examined = _non_bipartite_count(m, _prune_key(filt))
-    else:
-        graphs = list(enumerate_graphs(m, filt, jobs))
-        examined = len(graphs)
+    # a budget error names the class certified
+    kind, key = _checked_growth(m, filt, jobs)
+    # Gluing the components of a non-bipartite graph at a vertex keeps m and
+    # every cycle and raises lambda (Perron-Frobenius), so its connected
+    # classes hold every maximizer; the others are only counted.
+    graphs = _certifier_level(
+        m, ("odd-conn" if kind == "odd" else kind, key), jobs)
+    examined = _non_bipartite_count(m, key) if kind == "odd" else len(graphs)
     bound, expected = bound_and_equality()
     decision = _verdict(graphs, [quantity(g) for g in graphs], bound,
                         expected)
@@ -1039,7 +1018,6 @@ def certify_conj51(m: int, k: int, jobs: int = 1) -> CertificationReport:
                            spectra.spectral_radius, jobs, conjecture=True)
 
 
-@_graphs_only
 def certify_mantel(n: int) -> CertificationReport:
     """Triangle-free on n vertices: at most floor(n^2/4) edges, with the
     balanced complete bipartite graph as unique maximizer."""
@@ -1048,8 +1026,9 @@ def certify_mantel(n: int) -> CertificationReport:
     start = time.perf_counter()
     # an edge joining two components closes no cycle, so the maximizers are
     # connected; the other classes are multisets of connected ones
-    gs = graphs_on_vertices(n, triangle_free=True, connected=True)
-    sizes = [len(level) for level in _graph_levels(n, ("vertex-conn", True))]
+    growth = _checked_vertex_growth(n, triangle_free=True, connected=True)
+    gs = _certifier_level(n, growth, 1)
+    sizes = [len(level) for level in _graph_levels(n, growth)]
     bound = float(n * n // 4)
     decision = _verdict(gs, [float(g.m) for g in gs], bound,
                         _forms(complete_bipartite(n // 2, (n + 1) // 2)))
@@ -1057,7 +1036,6 @@ def certify_mantel(n: int) -> CertificationReport:
                    _euler(sizes)[n], bound, decision)
 
 
-@_graphs_only
 def certify_erdos(n: int) -> CertificationReport:
     """Triangle-free non-bipartite on n vertices: at most
     floor((n-1)^2/4) + 1 edges; the bound is attained (not uniquely) and the
@@ -1067,9 +1045,9 @@ def certify_erdos(n: int) -> CertificationReport:
     start = time.perf_counter()
     # the maximizers are connected, as for Mantel; the count is that of all
     # classes less the bipartite ones
-    gs = [g for g in graphs_on_vertices(n, triangle_free=True, connected=True)
-          if not is_bipartite(g)]
-    levels = _graph_levels(n, ("vertex-conn", True))
+    growth = _checked_vertex_growth(n, triangle_free=True, connected=True)
+    gs = [g for g in _certifier_level(n, growth, 1) if not is_bipartite(g)]
+    levels = _graph_levels(n, growth)
     examined = (_euler([len(level) for level in levels])[n]
                 - _euler(_bipartite_sizes(levels))[n])
     bound = float((n - 1) ** 2 // 4 + 1)
@@ -1126,12 +1104,11 @@ class BooksizeReport:
         return "\n".join(lines)
 
 
-@_graphs_only
 def explore_booksize(m: int, jobs: int = 1) -> BooksizeReport:
     """Evidence table: every non-complete-bipartite m-edge class with
     lambda >= sqrt(m), its booksize, and the worst bk/sqrt(m) ratio."""
     start = time.perf_counter()
-    graphs = list(enumerate_graphs(m, ClassFilter(), jobs))
+    graphs = _certifier_level(m, _checked_growth(m, ClassFilter(), jobs), jobs)
     vals = [spectra.spectral_radius(g) for g in graphs]
     cut = math.sqrt(m) - 1e-9
     nosal_equality = _blowup_equality(m, (path(2),))  # K_{s,t}, st = m

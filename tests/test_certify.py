@@ -445,6 +445,22 @@ class TestEdgeBudgets:
         with pytest.raises(BudgetError, match="budget is m <= "):
             certifier(*args)
 
+    @pytest.mark.parametrize("certifier, n", [
+        (certify_mantel, 9),
+        (certify_erdos, 9),
+        (certify_erdos, 2000001),
+    ], ids=lambda v: getattr(v, "__name__", None) or str(v))
+    def test_vertex_certifiers_past_their_budget(
+            self, no_enumeration, monkeypatch, certifier, n):
+        # the vertex budget is checked before any level is built or any
+        # graph labelled
+        def no_forms(g):
+            raise AssertionError("canonical_form called")
+
+        monkeypatch.setattr(certify, "canonical_form", no_forms)
+        with pytest.raises(BudgetError, match="vertex budget is n <= 8"):
+            certifier(n)
+
 
 class TestVertexEnumeration:
     def test_triangle_free_counts(self):
@@ -605,9 +621,9 @@ class TestMantelErdos:
 
     def test_mantel_violation_path(self, monkeypatch):
         # a graph with more than floor(n^2/4) edges is the counterexample
-        real = certify.graphs_on_vertices
+        real = certify._certifier_level
         k5 = complete(5)
-        monkeypatch.setattr(certify, "graphs_on_vertices",
+        monkeypatch.setattr(certify, "_certifier_level",
                             lambda *args, **kw: real(*args, **kw) + [k5])
         r = certify_mantel(5)
         assert r.verdict == "VIOLATED"
@@ -617,9 +633,9 @@ class TestMantelErdos:
     def test_erdos_above_the_bound_path(self, monkeypatch):
         # a graph with more edges than the bound is the only maximizer, and
         # the maximizers are the counterexamples
-        real = certify.graphs_on_vertices
+        real = certify._certifier_level
         k6 = complete(6)
-        monkeypatch.setattr(certify, "graphs_on_vertices",
+        monkeypatch.setattr(certify, "_certifier_level",
                             lambda *args, **kw: real(*args, **kw) + [k6])
         r = certify_erdos(6)
         assert r.verdict == "VIOLATED"
@@ -630,10 +646,10 @@ class TestMantelErdos:
     def test_erdos_violation_path(self, monkeypatch):
         # with no construction among the maximizers, they are the
         # counterexamples
-        real = certify.graphs_on_vertices
+        real = certify._certifier_level
         built = {canon6(erdos_extremal(6, k)) for k in (1, 2)}
         monkeypatch.setattr(
-            certify, "graphs_on_vertices", lambda *args, **kw: [
+            certify, "_certifier_level", lambda *args, **kw: [
                 g for g in real(*args, **kw) if canon6(g) not in built])
         r = certify_erdos(6)
         assert r.verdict == "VIOLATED"
@@ -723,8 +739,10 @@ class TestConjecture51:
 class TestConnectedReports:
     """The non-bipartite, Mantel and Erdos certifiers examine only the
     connected classes and count the others.  Their reports must equal the
-    ones the full levels give: the same enumerator call without
-    `connected` returns every class of the full levels."""
+    ones the full levels give: the same level read of the growth without
+    "-conn" returns every class of the full levels."""
+
+    FULL = {"odd-conn": "odd", "conn": "edge", "vertex-conn": "vertex"}
 
     @pytest.mark.parametrize("certifier, args", [
         *[(certify_thm15, (m,)) for m in range(3, 11)],
@@ -738,20 +756,15 @@ class TestConnectedReports:
     def test_fields_match_the_full_levels(self, monkeypatch, certifier,
                                           args):
         report = certifier(*args)
-        real_graphs = certify.enumerate_graphs
-        real_vertices = certify.graphs_on_vertices
+        real = certify._certifier_level
         full = []
 
-        def every_graph(m, filt, jobs=1):
-            full.extend(real_graphs(m, replace(filt, connected=False), jobs))
-            return iter(full)
-
-        def every_graph_on(n, triangle_free=True, connected=False):
-            full.extend(real_vertices(n, triangle_free))
+        def every_graph(m, growth, jobs):
+            kind, arg = growth
+            full.extend(real(m, (self.FULL[kind], arg), jobs))
             return full
 
-        monkeypatch.setattr(certify, "enumerate_graphs", every_graph)
-        monkeypatch.setattr(certify, "graphs_on_vertices", every_graph_on)
+        monkeypatch.setattr(certify, "_certifier_level", every_graph)
         want = certifier(*args)
         if certifier is certify_erdos:
             full = [g for g in full if not is_bipartite(g)]
@@ -817,6 +830,28 @@ class TestUnlabelledTop:
     def test_twin_swaps(self, edges, piece, swapped):
         masks = Graph(4, edges)._masks
         assert certify._twin_swap(masks, edges, piece) is swapped
+
+    def test_an_enumerator_called_by_a_certifier_is_labelled(
+            self, monkeypatch, fresh_levels):
+        # the public enumerators return a labelled level in canonical-form
+        # order whoever calls them, a certifier's callback included
+        got = []
+        real = spectra.spectral_radius
+        filt = ClassFilter(triangle_free=True)
+
+        def quantity(g):
+            if not got:
+                got.extend(enumerate_graphs(8, filt))
+            return real(g)
+
+        monkeypatch.setattr(spectra, "spectral_radius", quantity)
+        assert certify_thm15(9).verdict == "HOLDS"
+        assert got
+        forms = [canonical_form(g) for g in got]
+        assert len(forms) == 267
+        assert forms[0] == b"E]r?"
+        assert forms == sorted(set(forms))
+        assert certify._LEVELS["edge", (True, False, None)].top is None
 
     def test_promotion_gives_the_fresh_reports(self, fresh_levels):
         def reports(ms):

@@ -3,7 +3,14 @@ outside: it replaces the module attributes named in its TARGETS and reads the
 statistics of a few caches.  A renamed attribute, a dropped cache or a call
 that stops going through a module global would break the benchmark or make a
 layer silently untimed, so these tests load the tracer as it is and check
-its hooks against the code."""
+its hooks against the code.
+
+The certifiers read their levels through one module global,
+`certify._certifier_level`, not through the public enumerators
+`enumerate_graphs` and `graphs_on_vertices`.  The tracer's `certify.enumerate`
+and `certify.vertex_enum` targets still name the public enumerators, so on a
+certifier run those layers read 0 and the level reads count in the
+certifier's own self time, until the targets name `_certifier_level`."""
 
 import importlib.util
 from itertools import chain
@@ -47,16 +54,16 @@ def test_install_reads_every_cache():
         assert getattr(copies[mod], attr) is not getattr(MODULES[mod], attr)
 
 
-@pytest.mark.parametrize("certifier, arg, enumerator", [
-    (certify.certify_zhai_shu, 9, "enumerate_graphs"),
-    (certify.certify_main, 9, "enumerate_graphs"),
-    (certify.certify_mantel, 6, "graphs_on_vertices"),
-    (certify.certify_erdos, 6, "graphs_on_vertices"),
+@pytest.mark.parametrize("certifier, arg", [
+    (certify.certify_zhai_shu, 9),
+    (certify.certify_main, 9),
+    (certify.certify_mantel, 6),
+    (certify.certify_erdos, 6),
 ], ids=["zhai-shu", "main", "mantel", "erdos"])
 def test_certifiers_call_through_module_globals(monkeypatch, fresh_levels,
-                                                certifier, arg, enumerator):
-    calls = {name: 0 for name in ("enumerate_graphs", "graphs_on_vertices",
-                                  "canonical_form")}
+                                                certifier, arg):
+    calls = {name: 0 for name in ("_certifier_level", "enumerate_graphs",
+                                  "graphs_on_vertices", "canonical_form")}
     for name in calls:
         real = getattr(certify, name)
 
@@ -66,13 +73,13 @@ def test_certifiers_call_through_module_globals(monkeypatch, fresh_levels,
 
         monkeypatch.setattr(certify, name, counting)
     report = certifier(arg)
-    assert calls[enumerator] == 1
+    # one level read, and none through the public enumerators
+    assert calls["_certifier_level"] == 1
+    assert calls["enumerate_graphs"] == calls["graphs_on_vertices"] == 0
     assert report.graphs_examined > 0
     # a cold build labels every class it keeps, not only the named ones
     kept = sum(map(len, chain.from_iterable(certify._LEVELS.values())))
     assert calls["canonical_form"] >= kept
-    other = ({"enumerate_graphs", "graphs_on_vertices"} - {enumerator}).pop()
-    assert calls[other] == 0
 
 
 @pytest.mark.parametrize("reader", ["labelled read", "next level"])
