@@ -2,16 +2,19 @@
 
     PYTHONPATH=src python -m pytest -q slow_tests
 
-A certifier keeps unlabelled the classes of the top level of its request
-that need no form to be accepted once: the untied ones, and the tied ones
-whose ties are twin swaps of the new piece.  They skip the per-parent
-deduplication by canonical form and the "came from two parents" check of
-`certify._union`, and they are unique only because
-`automorphism_generators` generate the whole automorphism group.  Tier-1
-compares such levels with labelled builds up to m = 9..11 edges and n = 7
-vertices; here the level each certifier reads at its budget, labelled once
-it has been read, must equal a fresh labelled build, and the certifier's
-report must not depend on which of the two it read."""
+Every level is grown with no form for the classes that need none to be
+accepted once: the untied ones, and the tied ones whose ties are twin
+swaps of the new piece.  They skip the per-parent deduplication by
+canonical form, and they are unique only because `automorphism_generators`
+generate the whole automorphism group.  Every level below the newest is
+labelled when the next one grows, and `certify._union` checks then that
+each class came from one parent; the newest level, a certifier's top, is
+checked only once a reader labels it.  Tier-1 compares such levels with
+the growth that labels every child (`certify._needs_no_form` always False)
+up to m = 9..11 edges and n = 7 vertices; here the level each certifier
+reads at its budget, labelled once it has been read, must equal a fresh
+build by that growth, and the certifier's report must not depend on which
+of the two it read."""
 
 from dataclasses import replace
 
@@ -43,14 +46,16 @@ def as_lists(levels):
     (certify.certify_erdos, (8,), ("vertex-conn", True)),
 ], ids=["nosal-12", "thm15-13", "main-14", "conj51-15-k3", "erdos-8"])
 def test_the_top_at_the_budget_equals_a_labelled_build(
-        fresh_levels, certifier, args, growth):
+        monkeypatch, fresh_levels, certifier, args, growth):
     m = args[0]
     report = certifier(*args)
     top = certify._LEVELS[growth].top
     assert top
     later = certify._levels_up_to(m, growth)
     fresh_levels()
-    built = certify._levels_up_to(m, growth)
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "_needs_no_form", lambda *a: False)
+        built = certify._levels_up_to(m, growth)
     assert len(top) == len(built[m])
     assert as_lists(later) == as_lists(built)
     # the certifier now reads the labelled level

@@ -24,13 +24,14 @@ automorphism group, and a tied piece in the new piece's orbit is never
 deleted to test the child (McKay & Piperno, "Practical graph isomorphism
 II", J. Symb. Comput. 2014, for automorphisms read off the search).  All
 their levels live in one store, `_LEVELS`, built by one loop,
-`_levels_up_to`.  A level is labelled (its classes keyed by canonical form,
-in canonical-form order) when something reads its forms: the growth of the
-next level, or a caller of the enumerators, which always return labelled
-levels.  A certifier reads only graphs and level sizes, through
-`_certifier_level` and `_graph_levels`, so the top level of its request
-keeps unlabelled the classes that need no form to be accepted once (see
-`_children`) until such a reader comes.
+`_graph_levels`.  Every level is grown by one rule, which leaves without a
+form each child that needs none to be accepted once (see `_children`).
+The newest level of a growth stays so until the growth of the next level
+or a labelled read (`_levels_up_to`, so the enumerators too) labels it:
+its classes keyed by canonical form, in canonical-form order, and each
+checked by `_union` to come from one parent.  A certifier reads only
+graphs and level sizes, through `_certifier_level` and `_graph_levels`, so
+of its top level it labels only what its report names.
 
 The extremal graphs of the non-bipartite, Mantel and Erdos certifiers are
 connected, so those certifiers build only the connected levels and count
@@ -55,9 +56,9 @@ import os
 import time
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
 from . import bounds
 from . import spectra
@@ -149,16 +150,13 @@ _Piece = TypeVar("_Piece")
 def _children(parents: Iterable[tuple[bytes | None, Graph]],
               grow: Callable[[Graph], Iterable[tuple[int, tuple, list]]],
               delete: Callable[[Graph, _Piece], Graph],
-              allowed: Callable[[Sequence[int], _Piece], bool],
-              top: bool = False
+              allowed: Callable[[Sequence[int], _Piece], bool]
               ) -> tuple[list[bytes], list[tuple[bytes | None, Graph]]]:
     """The canonical forms of the given (canonical form, g) parents, in
     order, and (canonical form, h) for every child h = g + piece whose
     canonical parent is g.  A parent that comes with None for its form is
-    labelled here, as it must be for its generators anyway.  With `top`,
-    the form of a child whose allowed tied pieces all lie in the new
-    piece's orbit by swaps of twins (untied children among them) is not
-    computed and reads None.
+    labelled here, as it must be for its generators anyway.  The form of a
+    child that `_needs_no_form` accepts is not computed and reads None.
 
     Pieces are ranked by an isomorphism invariant, `allowed(masks, f)`
     says whether deleting piece f from the graph with these neighbour
@@ -187,10 +185,10 @@ def _children(parents: Iterable[tuple[bytes | None, Graph]],
     child's new piece to an allowed piece of least rank (both tests are
     invariant), so into the orbit; composed with an automorphism of
     h it maps new piece onto new piece and restricts to an automorphism of
-    g, whose orbit step has already skipped one of the two.  Without a
-    labelling, the orbit is known to hold a tied piece when swaps of twins
-    carry the new piece onto it (_twin_swap); an untied child qualifies
-    with no swap.
+    g, whose orbit step has already skipped one of the two.  Such a child
+    is unique in its level only because the generators generate the whole
+    group; `_union` checks it once the level is labelled.  `allowed` is
+    asked once per tie.
     """
     forms: list[bytes] = []
     out: list[tuple[bytes | None, Graph]] = []
@@ -209,21 +207,29 @@ def _children(parents: Iterable[tuple[bytes | None, Graph]],
                     continue
                 seen |= _orbit(added, gens, _moved_edges)
             h = Graph(n, edges)
-            if top and all(_twin_swap(h._masks, edges, f) for f in ties
-                           if allowed(h._masks, f)):
+            live = [f for f in ties if allowed(h._masks, f)]
+            if _needs_no_form(h._masks, edges, live):
                 out.append((None, h))
                 continue
             key = canonical_form(h)  # also labels h for its generators
-            if ties:
-                new = n - 1 if type(ties[0]) is int else edges[-1]
+            if live:
+                new = n - 1 if type(live[0]) is int else edges[-1]
                 copies = _orbit(new, automorphism_generators(h), _moved)
-                if any(f not in copies and allowed(h._masks, f)
+                if any(f not in copies
                        and canonical_form(delete(h, f)) > parent_key
-                       for f in ties):
+                       for f in live):
                     continue
             kids.setdefault(key, h)
         out.extend(kids.items())
     return forms, out
+
+
+def _needs_no_form(masks: Sequence[int], edges: tuple, live: list) -> bool:
+    """Whether the child with these masks and edges, whose allowed tied
+    pieces are `live`, is accepted once with no form: swaps of twins carry
+    its new piece onto each of them (_twin_swap), so they lie in its orbit.
+    Always False, it gives the growth that labels every child."""
+    return all(_twin_swap(masks, edges, f) for f in live)
 
 
 def _twin_swap(masks: Sequence[int], edges: tuple, piece) -> bool:
@@ -527,19 +533,21 @@ def _not_a_cut_vertex(masks: Sequence[int], v: int) -> bool:
 # levels[k] maps canonical form -> graph with k edges (k vertices for
 # "vertex"), in canonical-form order: the union of the children that the
 # classes of level k-1 accept as their canonical parent, and of the roots
-# of level k.  A level is labelled, and stored here, once anything reads
+# of level k.  The newest level stays in `top` as it was built, with no
+# form for the classes that needed none (see _Levels), until anything reads
 # its forms: the growth of the next level, whose parents need them, or a
-# caller of the enumerators.  Until then the top level of a certifier's
-# request is kept in `top` (see _Levels).
+# labelled read (_levels_up_to).  Labelling it puts each of its classes
+# under _union's check that it came from one parent.
 _Growth = tuple[str, object]
 
 
 class _Levels(list):
-    """The labelled levels 0..k-1 of a growth and, in `top`, level k when
-    a certifier built it as the top of its request and nothing has read its
-    forms since (None otherwise): its graphs keyed by the order they were
-    built in, since some of its classes were never labelled."""
-    top: dict[int, Graph] | None = None
+    """The labelled levels 0..k-1 of a growth and, in `top`, its newest
+    level k as it was built: (form, graph) pairs, with None for the forms
+    the growth did not need (see _children).  `top` is None when the
+    newest level has been labelled and stored, until the next one is
+    built."""
+    top: list[tuple[bytes | None, Graph]] | None = None
 
 
 _LEVELS: dict[_Growth, _Levels] = {}
@@ -559,8 +567,7 @@ _PIECES: dict[str, Callable[[Sequence[int], object], bool]] = {
 }
 
 
-def _grow(growth: _Growth, parents: list[tuple[bytes | None, Graph]],
-          top: bool = False
+def _grow(growth: _Growth, parents: list[tuple[bytes | None, Graph]]
           ) -> tuple[list[bytes], list[tuple[bytes | None, Graph]]]:
     """The forms of a block of parents and the children that accept them
     (see _children)."""
@@ -570,10 +577,10 @@ def _grow(growth: _Growth, parents: list[tuple[bytes | None, Graph]],
     if kind.startswith("vertex"):
         return _children(
             parents, lambda g: _vertex_growth(g, arg, allowed, connected),
-            _drop_vertex, allowed, top)
+            _drop_vertex, allowed)
     return _children(
         parents, lambda g: _edge_growth(g, arg, allowed, connected),
-        _drop_edge, allowed, top)
+        _drop_edge, allowed)
 
 
 def _roots(growth: _Growth, k: int) -> list[tuple[bytes, Graph]]:
@@ -608,66 +615,57 @@ def _start_pool(jobs: int):
 atexit.register(_start_pool.cache_clear)
 
 
-def _levels_up_to(m: int, growth: _Growth, jobs: int = 1,
-                  top: bool = False) -> _Levels:
-    """The stored levels of the growth, built on until they hold levels
-    0..m, labelled; the pool grows each level that has at least 4 parents
-    per job.  With `top`, a level m that the call builds, or that an
-    earlier such call left, stays in `top` (see _graph_levels).  A level
-    kept there is labelled when the next level grows from it, which labels
-    its graphs for their generators anyway (in the workers, with a pool),
-    or when a call without `top` asks for it."""
+def _graph_levels(m: int, growth: _Growth, jobs: int = 1
+                  ) -> list[Collection[Graph]]:
+    """The graphs of levels 0..m of the growth, as a certifier reads them:
+    the stored levels, built on until they hold level m, labelled or as the
+    newest level.  The pool grows each level that has at least 4 parents
+    per job; growing a level labels its parents (in the workers, with a
+    pool), as their generators need anyway."""
     levels = _LEVELS.setdefault(growth, _Levels([{}]))
     while len(levels) + (levels.top is not None) <= m:
         below = levels.top
-        k = len(levels) + (below is not None)
-        parents = (list(levels[-1].items()) if below is None
-                   else [(None, g) for g in below.values()])
-        last = top and k == m
-        grow = partial(_grow, top=True) if last else _grow
+        parents = list(levels[-1].items()) if below is None else below
         if jobs > 1 and len(parents) >= 4 * jobs:
             from concurrent.futures.process import BrokenProcessPool
             try:
                 blocks = list(_start_pool(jobs).map(
-                    grow, repeat(growth), ([p] for p in parents),
+                    _grow, repeat(growth), ([p] for p in parents),
                     chunksize=len(parents) // (4 * jobs)))
             except BrokenProcessPool:
                 _start_pool.cache_clear()  # the next build starts a new pool
                 raise
         else:
-            blocks = [grow(growth, parents)]
+            blocks = [_grow(growth, parents)]
         if below is not None:
             levels.append(_union(zip(
-                chain.from_iterable(f for f, _ in blocks), below.values())))
-            levels.top = None
-        kids = chain(chain.from_iterable(c for _, c in blocks),
-                     _roots(growth, k))
-        if last:
-            levels.top = dict(enumerate(h for _, h in kids))
-        else:
-            levels.append(_union(kids))
-    if not top and len(levels) == m:
-        levels.append(_union((canonical_form(g), g)
-                             for g in levels.top.values()))
+                chain.from_iterable(f for f, _ in blocks),
+                (g for _, g in below))))
+        levels.top = [*chain.from_iterable(c for _, c in blocks),
+                      *_roots(growth, len(levels))]
+    graphs = [level.values() for level in levels[:m + 1]]
+    return graphs if len(graphs) > m else graphs + [[g for _, g in levels.top]]
+
+
+def _levels_up_to(m: int, growth: _Growth, jobs: int = 1) -> _Levels:
+    """The stored levels of the growth, built on until they hold levels
+    0..m (see _graph_levels), all labelled: a newest level m is labelled
+    here, where only the classes the growth left without a form need a
+    labelling."""
+    _graph_levels(m, growth, jobs)
+    levels = _LEVELS[growth]
+    if len(levels) == m:
+        levels.append(_union((form or canonical_form(g), g)
+                             for form, g in levels.top))
         levels.top = None
     return levels
-
-
-def _graph_levels(m: int, growth: _Growth, jobs: int = 1
-                  ) -> list[dict[object, Graph]]:
-    """Levels 0..m of the growth, as a certifier reads them, which is by
-    their graphs and sizes alone: a level m that this builds, or that an
-    earlier such call left, is keyed by the order its graphs were built in,
-    and not every class of it is labelled."""
-    levels = _levels_up_to(m, growth, jobs, top=True)
-    return levels[:m + 1] if len(levels) > m else levels + [levels.top]
 
 
 def _certifier_level(m: int, growth: _Growth, jobs: int) -> list[Graph]:
     """The graphs of level m of the growth, as `_graph_levels` builds them.
     Every certifier reads its level through this one function, and labels
     only the graphs its report names."""
-    return list(_graph_levels(m, growth, jobs)[m].values())
+    return list(_graph_levels(m, growth, jobs)[m])
 
 
 def edge_budget(filt: ClassFilter) -> int:
@@ -752,8 +750,8 @@ def _euler(c: list[int]) -> list[int]:
     return a
 
 
-def _bipartite_sizes(levels: list[dict[object, Graph]]) -> list[int]:
-    return [sum(map(is_bipartite, level.values())) for level in levels]
+def _bipartite_sizes(levels: list[Collection[Graph]]) -> list[int]:
+    return [sum(map(is_bipartite, level)) for level in levels]
 
 
 def _non_bipartite_count(m: int, key: _PruneKey) -> int:

@@ -776,11 +776,12 @@ class TestConnectedReports:
 
 
 class TestUnlabelledTop:
-    """A certifier reads the graphs and sizes of its levels, not their
-    forms, so the top level of its request keeps unlabelled the classes
-    that need no form to be accepted once (untied ones, and tied ones whose
-    ties are twin swaps of the new piece) until a reader that needs forms
-    labels it."""
+    """Every level is grown with no form for the classes that need none to
+    be accepted once (untied ones, and tied ones whose ties are twin swaps
+    of the new piece), and the newest level stays so until a reader that
+    needs forms labels it.  A certifier reads graphs and sizes, not forms.
+    The reference is the growth that labels every child, with
+    `_needs_no_form` always False."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("growth, top", [
@@ -798,18 +799,19 @@ class TestUnlabelledTop:
         (("vertex-conn", False), 7),
     ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_labelled_later_equals_labelled_when_built(
-            self, fresh_levels, pool_starts, growth, top, jobs):
+            self, monkeypatch, fresh_levels, pool_starts, growth, top, jobs):
         # each level is first a certifier's top, then the next level's
         # parents; the last is labelled by a reader that needs its forms
         sizes = []
         for m in range(1, top + 1):
             level = certify._graph_levels(m, growth, jobs)[m]
-            assert level is certify._LEVELS[growth].top
             assert len(certify._LEVELS[growth]) == m
             sizes.append(len(level))
         later = certify._levels_up_to(top, growth, jobs)
         assert later.top is None
         fresh_levels()
+        monkeypatch.setattr(certify, "_needs_no_form", lambda *a: False)
+        certify._start_pool.cache_clear()  # workers forked with the patch
         built = certify._levels_up_to(top, growth, jobs)
         assert [[(c, g.n, g.edges) for c, g in level.items()]
                 for level in later] \
@@ -830,6 +832,14 @@ class TestUnlabelledTop:
     def test_twin_swaps(self, edges, piece, swapped):
         masks = Graph(4, edges)._masks
         assert certify._twin_swap(masks, edges, piece) is swapped
+
+    def test_a_wrong_twin_swap_meets_the_two_parents_check(
+            self, monkeypatch, fresh_levels):
+        # every level below a certifier's top is labelled by the growth of
+        # the next one, so a class accepted twice with no form is caught
+        monkeypatch.setattr(certify, "_twin_swap", lambda *a: True)
+        with pytest.raises(RuntimeError, match="two parents"):
+            certify_zhai_shu(10)
 
     def test_an_enumerator_called_by_a_certifier_is_labelled(
             self, monkeypatch, fresh_levels):

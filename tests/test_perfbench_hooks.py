@@ -87,11 +87,13 @@ def test_a_certifiers_top_is_labelled_through_the_module_global(
         monkeypatch, fresh_levels, reader):
     # a certifier leaves classes of its top level unlabelled;
     # whichever reader labels them later calls canonical_form through the
-    # module global, so a traced run times that labelling too
+    # module global, so a traced run times that labelling too, and labels
+    # only the classes the growth left without a form
     certify.certify_zhai_shu(9)
     growth = ("odd-conn", (True, False, None))
     top = certify._LEVELS[growth].top
-    assert top
+    unlabelled = {id(g) for form, g in top if form is None}
+    assert unlabelled and len(unlabelled) < len(top)
     labelled = []
     real = certify.canonical_form
 
@@ -101,4 +103,4 @@ def test_a_certifiers_top_is_labelled_through_the_module_global(
 
     monkeypatch.setattr(certify, "canonical_form", counting)
     certify._levels_up_to(9 if reader == "labelled read" else 10, growth)
-    assert {id(g) for g in top.values()} <= {id(g) for g in labelled}
+    assert {id(g) for g in labelled} & {id(g) for _, g in top} == unlabelled
