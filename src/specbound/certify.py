@@ -24,14 +24,15 @@ automorphism group, and a tied piece in the new piece's orbit is never
 deleted to test the child (McKay & Piperno, "Practical graph isomorphism
 II", J. Symb. Comput. 2014, for automorphisms read off the search).  All
 their levels live in one store, `_LEVELS`, built by one loop,
-`_graph_levels`.  Every level is grown by one rule, which leaves without a
-form each child that needs none to be accepted once (see `_children`).
-The newest level of a growth stays so until the growth of the next level
-or a labelled read (`_levels_up_to`, so the enumerators too) labels it:
-its classes keyed by canonical form, in canonical-form order, and each
-checked by `_union` to come from one parent.  A certifier reads only
-graphs and level sizes, through `_certifier_level` and `_graph_levels`, so
-of its top level it labels only what its report names.
+`_graph_levels`, each level a list of (canonical form or None, graph)
+pairs.  Every level is grown by one rule, which leaves without a form each
+child that needs none to be accepted once (see `_children`), so only the
+newest level of a growth holds None: the growth of the next level or a
+labelled read (`_levels_up_to`, so the enumerators too) labels it, sorts
+it by canonical form and has `_union` check that each class came from one
+parent.  A certifier reads only graphs and level sizes, through
+`_certifier_level` and `_graph_levels`, so of its top level it labels only
+what its report names.
 
 The extremal graphs of the non-bipartite, Mantel and Erdos certifiers are
 connected, so those certifiers build only the connected levels and count
@@ -58,7 +59,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import bounds
 from . import spectra
@@ -279,16 +280,17 @@ def _every_piece(masks: Sequence[int], piece) -> bool:
     return True
 
 
-def _union(kids: Iterable[tuple[bytes, Graph]]) -> dict[bytes, Graph]:
-    """One labelled level from its parents' children, in canonical-form
-    order."""
+def _union(kids: Iterable[tuple[bytes, Graph]]
+           ) -> list[tuple[bytes, Graph]]:
+    """One labelled level from its parents' children: (form, graph) pairs
+    in canonical-form order."""
     level: dict[bytes, Graph] = {}
     for cform, h in kids:
         if cform in level:
             # every class has exactly one canonical parent
             raise RuntimeError(f"class {cform.decode()} came from two parents")
         level[cform] = h
-    return dict(sorted(level.items()))
+    return sorted(level.items())
 
 
 # A vertex ranks by its (degree, sum of neighbour degrees), packed as
@@ -530,27 +532,18 @@ def _not_a_cut_vertex(masks: Sequence[int], v: int) -> bool:
 # class, ("odd", prune key) for its non-bipartite classes, grown from odd
 # cycles, ("vertex", triangle_free) for the vertex-indexed levels, or one of
 # these with "-conn" for its connected classes ("conn" for "edge").
-# levels[k] maps canonical form -> graph with k edges (k vertices for
-# "vertex"), in canonical-form order: the union of the children that the
-# classes of level k-1 accept as their canonical parent, and of the roots
-# of level k.  The newest level stays in `top` as it was built, with no
-# form for the classes that needed none (see _Levels), until anything reads
-# its forms: the growth of the next level, whose parents need them, or a
-# labelled read (_levels_up_to).  Labelling it puts each of its classes
-# under _union's check that it came from one parent.
+# levels[k] lists (canonical form, graph) for the classes with k edges (k
+# vertices for "vertex"): the children that the classes of level k-1 accept
+# as their canonical parent, and the roots of level k.  Every level below
+# the newest is labelled, in canonical-form order, and has passed _union's
+# check that each class came from one parent.  The newest level stays as
+# it was built, with None for the forms the growth did not need (see
+# _children), until anything reads its forms: the growth of the next level,
+# whose parents need them, or a labelled read (_levels_up_to).
 _Growth = tuple[str, object]
+_Level = list[tuple[bytes | None, Graph]]
 
-
-class _Levels(list):
-    """The labelled levels 0..k-1 of a growth and, in `top`, its newest
-    level k as it was built: (form, graph) pairs, with None for the forms
-    the growth did not need (see _children).  `top` is None when the
-    newest level has been labelled and stored, until the next one is
-    built."""
-    top: list[tuple[bytes | None, Graph]] | None = None
-
-
-_LEVELS: dict[_Growth, _Levels] = {}
+_LEVELS: dict[_Growth, list[_Level]] = {}
 
 # kind -> the pieces whose deletion leaves a graph of the growth's class.
 # Every connected graph but K2 and K1 has such an edge and vertex (a leaf of
@@ -615,17 +608,15 @@ def _start_pool(jobs: int):
 atexit.register(_start_pool.cache_clear)
 
 
-def _graph_levels(m: int, growth: _Growth, jobs: int = 1
-                  ) -> list[Collection[Graph]]:
-    """The graphs of levels 0..m of the growth, as a certifier reads them:
-    the stored levels, built on until they hold level m, labelled or as the
-    newest level.  The pool grows each level that has at least 4 parents
-    per job; growing a level labels its parents (in the workers, with a
-    pool), as their generators need anyway."""
-    levels = _LEVELS.setdefault(growth, _Levels([{}]))
-    while len(levels) + (levels.top is not None) <= m:
-        below = levels.top
-        parents = list(levels[-1].items()) if below is None else below
+def _graph_levels(m: int, growth: _Growth, jobs: int = 1) -> list[_Level]:
+    """Levels 0..m of the growth, as a certifier reads them: the stored
+    levels, built on until they hold level m, which is labelled only if it
+    is not the newest.  The pool grows each level that has at least 4
+    parents per job; growing a level labels its parents (in the workers,
+    with a pool), as their generators need anyway."""
+    levels = _LEVELS.setdefault(growth, [[]])
+    while len(levels) <= m:
+        parents = levels[-1]
         if jobs > 1 and len(parents) >= 4 * jobs:
             from concurrent.futures.process import BrokenProcessPool
             try:
@@ -637,27 +628,23 @@ def _graph_levels(m: int, growth: _Growth, jobs: int = 1
                 raise
         else:
             blocks = [_grow(growth, parents)]
-        if below is not None:
-            levels.append(_union(zip(
-                chain.from_iterable(f for f, _ in blocks),
-                (g for _, g in below))))
-        levels.top = [*chain.from_iterable(c for _, c in blocks),
-                      *_roots(growth, len(levels))]
-    graphs = [level.values() for level in levels[:m + 1]]
-    return graphs if len(graphs) > m else graphs + [[g for _, g in levels.top]]
+        levels[-1] = _union(zip(chain.from_iterable(f for f, _ in blocks),
+                                (g for _, g in parents)))
+        levels.append([*chain.from_iterable(c for _, c in blocks),
+                       *_roots(growth, len(levels))])
+    return levels[:m + 1]
 
 
-def _levels_up_to(m: int, growth: _Growth, jobs: int = 1) -> _Levels:
+def _levels_up_to(m: int, growth: _Growth, jobs: int = 1) -> list[_Level]:
     """The stored levels of the growth, built on until they hold levels
     0..m (see _graph_levels), all labelled: a newest level m is labelled
     here, where only the classes the growth left without a form need a
     labelling."""
     _graph_levels(m, growth, jobs)
     levels = _LEVELS[growth]
-    if len(levels) == m:
-        levels.append(_union((form or canonical_form(g), g)
-                             for form, g in levels.top))
-        levels.top = None
+    if len(levels) == m + 1:
+        levels[m] = _union((form or canonical_form(g), g)
+                           for form, g in levels[m])
     return levels
 
 
@@ -665,7 +652,7 @@ def _certifier_level(m: int, growth: _Growth, jobs: int) -> list[Graph]:
     """The graphs of level m of the growth, as `_graph_levels` builds them.
     Every certifier reads its level through this one function, and labels
     only the graphs its report names."""
-    return list(_graph_levels(m, growth, jobs)[m])
+    return [g for _, g in _graph_levels(m, growth, jobs)[m]]
 
 
 def edge_budget(filt: ClassFilter) -> int:
@@ -681,7 +668,7 @@ def edge_budget(filt: ClassFilter) -> int:
     if odd_girth_min:
         return 15
     if triangle_free:
-        return 14 if c5_free else 13
+        return 15 if c5_free else 13
     return EDGE_BUDGET
 
 
@@ -718,8 +705,8 @@ def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),
     the filter's class, in canonical-form order: the stored level of the
     growth the filter picks, built (and the arguments checked) by the call,
     and labelled."""
-    growth = _checked_growth(m, filt, jobs)
-    return iter(_levels_up_to(m, growth, jobs)[m].values())
+    level = _levels_up_to(m, _checked_growth(m, filt, jobs), jobs)[m]
+    return (g for _, g in level)
 
 
 def graphs_on_vertices(n: int, triangle_free: bool = True,
@@ -728,7 +715,7 @@ def graphs_on_vertices(n: int, triangle_free: bool = True,
     vertices allowed unless connected), grown one vertex at a time, in
     canonical-form order, labelled as in enumerate_graphs."""
     growth = _checked_vertex_growth(n, triangle_free, connected)
-    return list(_levels_up_to(n, growth)[n].values())
+    return [g for _, g in _levels_up_to(n, growth)[n]]
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +737,8 @@ def _euler(c: list[int]) -> list[int]:
     return a
 
 
-def _bipartite_sizes(levels: list[Collection[Graph]]) -> list[int]:
-    return [sum(map(is_bipartite, level)) for level in levels]
+def _bipartite_sizes(levels: list[_Level]) -> list[int]:
+    return [sum(is_bipartite(g) for _, g in level) for level in levels]
 
 
 def _non_bipartite_count(m: int, key: _PruneKey) -> int:
@@ -902,8 +889,6 @@ def _lambda_certify(theorem: str, m: int, filt: ClassFilter,
 def certify_nosal(m: int, jobs: int = 1) -> CertificationReport:
     """Triangle-free with m edges: lambda <= sqrt(m), equality exactly at the
     complete bipartite graphs."""
-    if m < 1:
-        raise GraphError("needs m >= 1")
     return _lambda_certify(
         "nosal", m, ClassFilter(triangle_free=True),
         lambda: (math.sqrt(m), _blowup_equality(m, (path(2),))),
@@ -964,8 +949,6 @@ def certify_lnw_sum(m: int, jobs: int = 1) -> CertificationReport:
 def certify_thm15(m: int, jobs: int = 1) -> CertificationReport:
     """Triangle-free non-bipartite: lambda <= sqrt(m-1), equality only at
     (m, G) = (5, C_5)."""
-    if m < 1:
-        raise GraphError("needs m >= 1")
     filt = ClassFilter(triangle_free=True, non_bipartite=True)
     return _lambda_certify(
         "thm15", m, filt,

@@ -210,7 +210,7 @@ class TestEnumeration:
         def fresh_build(jobs):
             fresh_levels()
             levels = certify._levels_up_to(9, growth, jobs)
-            return [list(level.items()) for level in levels]
+            return [list(level) for level in levels]
 
         pooled = [fresh_build(2), fresh_build(2)]
         assert pool_starts() == 1
@@ -263,7 +263,7 @@ class TestEnumeration:
             for filt in odd:
                 list(enumerate_graphs(9, filt))
             graphs_on_vertices(5)
-            return {growth: [list(level) for level in levels]
+            return {growth: [[c for c, _ in level] for level in levels]
                     for growth, levels in certify._LEVELS.items()}
 
         built = build()
@@ -392,7 +392,7 @@ class TestEdgeBudgets:
         def no_levels(*args, **kwargs):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(certify, "_levels_up_to", no_levels)
+        monkeypatch.setattr(certify, "_graph_levels", no_levels)
 
     @pytest.mark.parametrize("filt, budget", [
         (ClassFilter(), 12),
@@ -403,8 +403,8 @@ class TestEdgeBudgets:
         (ClassFilter(triangle_free=True, non_bipartite=True), 13),
         (ClassFilter(odd_girth_min=5, non_bipartite=True), 13),
         (ClassFilter(triangle_free=True, c5_free=True, non_bipartite=True),
-         14),
-        (ClassFilter(odd_girth_min=7, non_bipartite=True), 14),
+         15),
+        (ClassFilter(odd_girth_min=7, non_bipartite=True), 15),
         (ClassFilter(odd_girth_min=9, non_bipartite=True), 15),
         (ClassFilter(odd_girth_min=11, non_bipartite=True), 15),
     ], ids=lambda v: v.describe() if isinstance(v, ClassFilter) else str(v))
@@ -420,10 +420,11 @@ class TestEdgeBudgets:
         (explore_booksize, (13,)),
         (certify_thm15, (14,)),
         (certify_zhai_shu, (14,)),
-        (certify_main, (15,)),
+        (certify_main, (16,)),
         (certify_conj51, (15, 1)),
-        (certify_conj51, (15, 2)),
-        # m = 16 is one past the k = 3 budget, but conj51 needs odd m
+        # m = 16 is one past the k = 2 and k = 3 budgets, but conj51 needs
+        # odd m
+        (certify_conj51, (17, 2)),
         (certify_conj51, (17, 3)),
         # far past: K_{1,41}, the 40-edge blow-ups of P5 and the extremal
         # graphs of the three others pass the canonical-form limit of 40
@@ -802,21 +803,26 @@ class TestUnlabelledTop:
             self, monkeypatch, fresh_levels, pool_starts, growth, top, jobs):
         # each level is first a certifier's top, then the next level's
         # parents; the last is labelled by a reader that needs its forms
+        def labelled(levels):
+            for level in levels:
+                forms = [c for c, _ in level]
+                assert None not in forms
+                assert all(a < b for a, b in zip(forms, forms[1:]))
+
         sizes = []
         for m in range(1, top + 1):
             level = certify._graph_levels(m, growth, jobs)[m]
-            assert len(certify._LEVELS[growth]) == m
+            assert len(certify._LEVELS[growth]) == m + 1
+            labelled(certify._LEVELS[growth][:-1])
             sizes.append(len(level))
         later = certify._levels_up_to(top, growth, jobs)
-        assert later.top is None
+        labelled(later)
         fresh_levels()
         monkeypatch.setattr(certify, "_needs_no_form", lambda *a: False)
         certify._start_pool.cache_clear()  # workers forked with the patch
         built = certify._levels_up_to(top, growth, jobs)
-        assert [[(c, g.n, g.edges) for c, g in level.items()]
-                for level in later] \
-            == [[(c, g.n, g.edges) for c, g in level.items()]
-                for level in built]
+        assert [[(c, g.n, g.edges) for c, g in level] for level in later] \
+            == [[(c, g.n, g.edges) for c, g in level] for level in built]
         assert sizes == [len(level) for level in built[1:]]
 
     @pytest.mark.parametrize("edges, piece, swapped", [
@@ -861,7 +867,8 @@ class TestUnlabelledTop:
         assert len(forms) == 267
         assert forms[0] == b"E]r?"
         assert forms == sorted(set(forms))
-        assert certify._LEVELS["edge", (True, False, None)].top is None
+        level = certify._LEVELS["edge", (True, False, None)][8]
+        assert [c for c, _ in level] == forms
 
     def test_promotion_gives_the_fresh_reports(self, fresh_levels):
         def reports(ms):
@@ -882,8 +889,8 @@ class TestUnlabelledTop:
         _canonical_labelling.cache_clear()
         certifier(m)
         levels = certify._LEVELS["odd-conn", key]
-        assert len(levels) == m and levels.top
-        classes = sum(map(len, levels)) + len(levels.top)
+        assert len(levels) == m + 1 and levels[m]
+        classes = sum(map(len, levels))
         assert canonical_graph.cache_info().misses < classes
 
 

@@ -111,8 +111,8 @@ def test_edge_levels_match_reference(filt):
     key = _prune_key(filt)
     levels = certify._levels_up_to(MAX_M, ("edge", key))
     for m, want in enumerate(reference_edge_levels(MAX_M, key)):
-        assert list(levels[m]) == sorted(want)
-        assert all(canonical_form(g) == c for c, g in levels[m].items())
+        assert [c for c, _ in levels[m]] == sorted(want)
+        assert all(canonical_form(g) == c for c, g in levels[m])
 
 
 @pytest.mark.parametrize("triangle_free", [True, False])
@@ -130,9 +130,9 @@ def test_non_bipartite_levels_match_filtered_levels(filt, max_m):
     full = certify._levels_up_to(max_m, ("edge", key))
     grown = certify._levels_up_to(max_m, ("odd", key))
     for m in range(max_m + 1):
-        want = [c for c, g in full[m].items() if not is_bipartite(g)]
-        assert list(grown[m]) == want, m
-        assert all(canonical_form(g) == c for c, g in grown[m].items())
+        want = [c for c, g in full[m] if not is_bipartite(g)]
+        assert [c for c, _ in grown[m]] == want, m
+        assert all(canonical_form(g) == c for c, g in grown[m])
 
 
 # The connected growths keep every class the full growth stores, with the
@@ -140,12 +140,12 @@ def test_non_bipartite_levels_match_filtered_levels(filt, max_m):
 # count the full levels.
 
 
-def stored(level: dict) -> list:
-    return [(c, g.n, g.edges) for c, g in level.items()]
+def stored(level: list) -> list:
+    return [(c, g.n, g.edges) for c, g in level]
 
 
-def connected_part(level: dict) -> list:
-    return [(c, g.n, g.edges) for c, g in level.items() if is_connected(g)]
+def connected_part(level: list) -> list:
+    return [(c, g.n, g.edges) for c, g in level if is_connected(g)]
 
 
 def sizes(levels: list) -> list[int]:
@@ -183,7 +183,7 @@ def test_connected_vertex_levels_match_filtered_levels(triangle_free):
     conn = certify._LEVELS["vertex-conn", triangle_free][:MAX_N + 1]
     full = full[:MAX_N + 1]
     assert _euler(sizes(conn))[1:] == sizes(full)[1:]
-    bipartite = [sum(map(is_bipartite, level.values())) for level in full]
+    bipartite = [sum(is_bipartite(g) for _, g in level) for level in full]
     # the certifiers count from the graphs of each level
     graphs = certify._graph_levels(MAX_N, ("vertex-conn", triangle_free))
     assert _euler(certify._bipartite_sizes(graphs))[1:] == bipartite[1:]
@@ -293,7 +293,7 @@ def test_canonical_forms_pinned():
 def test_edge_levels_pinned(fresh_levels):
     levels = certify._levels_up_to(9, ("edge", (True, False, None)))
     assert list(map(len, levels)) == [0, 1, 2, 4, 9, 19, 45, 105, 267, 702]
-    assert digest(repr([[(c, g.n, g.edges) for c, g in level.items()]
+    assert digest(repr([[(c, g.n, g.edges) for c, g in level]
                         for level in levels]).encode()) \
         == TRIANGLE_FREE_LEVELS_DIGEST
 
@@ -301,8 +301,8 @@ def test_edge_levels_pinned(fresh_levels):
 def test_vertex_level_pinned(fresh_levels):
     graphs = certify.graphs_on_vertices(7)
     level = certify._LEVELS["vertex", True][7]
-    assert list(level.values()) == graphs and len(graphs) == 107
-    assert digest(repr([(c, g.n, g.edges) for c, g in level.items()])
+    assert [g for _, g in level] == graphs and len(graphs) == 107
+    assert digest(repr([(c, g.n, g.edges) for c, g in level])
                   .encode()) == VERTEX_LEVEL_7_DIGEST
 
 
@@ -468,8 +468,8 @@ def build_levels(monkeypatch, fresh_levels, orbits: bool, build
     monkeypatch.setattr(certify, "canonical_form", counting_form)
     levels = build()
     monkeypatch.undo()
-    return ([[(c, g.n, g.edges) for c, g in level.items()]
-             for level in levels], len(calls))
+    return ([[(c, g.n, g.edges) for c, g in level] for level in levels],
+            len(calls))
 
 
 def vertex_levels(n: int, triangle_free: bool) -> list:
