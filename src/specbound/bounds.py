@@ -23,13 +23,21 @@ that decides it (Higham, Accuracy and Stability of Numerical Algorithms,
    largest |x| on it (eq. (5.3)).  The guard is computed once per bracket;
 2. running bound: otherwise Horner's rule is run again, summing the
    rounding bound of each of its operations at this x (Algorithm 5.1,
-   see `_close_sign`).  Near a root that bound is far below the guard;
+   see `_close_signs`).  Near a root that bound is far below the guard;
 3. exact: otherwise the sign is computed over the integers.
 
-The kernel runs the first step in its own frame for the ends and for
-every midpoint that needs a value; `_signed_value` does the same for one
-point.  Both hand a value inside the guard to `_close_sign`, which runs the
-other two.
+The bisection is one row kernel, `_bisect_rows`, that runs on NumPy
+float64 arrays with one row per bracket, each row with its own stops.  All
+its signs, at the ends, at the one-float end steps and at the midpoints,
+come from `_signs`: it takes the first step for every point at once, the
+vectorized running bound of `_close_signs` takes the second for the points
+still open, and `_dyadic_sign` the third for each point still undecided.
+NumPy's float64 operations round as Python's floats do, and the kernel
+performs on each row the operations of a scalar bisection, in the same
+order, so a row's bracket does not depend on the rows beside it.
+`bisect_largest_root` is the kernel's one-row call.  `beta_bracket` and
+`gamma_bracket` read a row of a cached block of m (`_block`), whose
+coefficient rows come from the families' formulas, affine in m.
 
 Most midpoints need no evaluation at all.  Before the loop the kernel
 proves a root window (a, b) with a < r < b around the root r:
@@ -52,8 +60,8 @@ steps.  The signs are the exact ones either way, so the bracket is the
 exact bisection's to the bit.  Without a proof of monotonicity (lo <= 0,
 p'_min <= 0, or every sign exact) the window is the whole bracket.
 
-For beta and gamma at m <= 10^4 (19,990 brackets) the static guard leaves
-10,461 signs open, and the running bound all but 589 of them.
+For beta and gamma at m <= 10^4 (19,990 brackets in 34 blocks) the static
+guard leaves 10,461 signs open, and the running bound all but 589 of them.
 """
 
 from __future__ import annotations
@@ -62,10 +70,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from . import graphs as G
 from . import spectra
 from .spectra import IntPoly
+
+import numpy as np  # after spectra, which loads it with one BLAS thread
 
 BISECT_WIDTH = 1e-12
 _EXACT_INT = 2 ** 53  # integers of smaller magnitude are exact doubles
@@ -75,6 +86,8 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # bounds the work on a bracket where it does not converge
 _NEWTON_STEPS = 8
 _RADIUS_SLACK = 1.0 + 2.0 ** -50  # covers the two roundings of the radius
+# rows of a cached block of beta or gamma brackets (see `_block`)
+_BLOCK_ROWS = 1024
 
 
 class BoundsError(ValueError):
@@ -279,20 +292,36 @@ def _sqrt_sign(coeffs: tuple[int, ...], s: int) -> int:
     return e if gap > 0 else (o if gap < 0 else 0)
 
 
-def _bracket_form(coeffs: tuple[int, ...], lo: float, hi: float
-                  ) -> tuple[tuple[float, ...], float, float]:
-    """Float coefficients, highest degree first, the guard of Horner's rule
-    for an integer polynomial at any float x in [lo, hi], and, from the same
-    pass over the coefficients, p'_min: a lower bound on p' over [lo, hi],
-    or -inf when lo <= 0 or the form is empty.
+# The row kernel.  Its functions take one row per bracket: fc holds a
+# row's float coefficients, highest degree first, exact doubles or all NaN
+# (no float form, so every sign is exact), and `exact(i)` gives row i's
+# integer coefficients, little-endian, for `_dyadic_sign`.
+_Exact = Callable[[int], tuple[int, ...]]
+
+
+def _float_row(ic: tuple[int, ...]) -> np.ndarray:
+    """One row of float coefficients for the integer polynomial ic: exact
+    when every |c_i| < 2^53, else NaN."""
+    if max(map(abs, ic)) < _EXACT_INT:
+        return np.array([ic[::-1]], dtype=float)
+    return np.full((1, len(ic)), np.nan)
+
+
+def _bracket_form(fc: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each row, with [lo, hi] its interval: the row of fc, or NaN when
+    it has no float form, the guard of Horner's rule at any float x in
+    [lo, hi], and, from the same pass over the coefficients, p'_min: a lower
+    bound on p' over [lo, hi], or -inf when lo <= 0 or the form is NaN.
 
     With r = max(1, |lo|, |hi|) and scale = sum |c_i| r^i, the float Horner
     value at such an x is within gamma_2d * scale of the exact value
     (Higham, eq. (5.3)), and guard = 4 (d+1) u * scale exceeds that even
     after the rounding of scale itself.  A float value beyond the guard
-    decides the sign; anything else is computed exactly.  When a coefficient
-    is not an exact double, or scale might overflow, the form is empty and
-    the guard infinite, so every sign is exact.
+    decides the sign; anything else goes on to `_close_signs`.  When a
+    coefficient is not an exact double (a NaN row), or scale might
+    overflow, the form is NaN and the guard infinite, so every sign is
+    exact.
 
     For lo > 0, p'(x) >= P+'(lo) + P-'(hi) on [lo, hi], where P+ and P- hold
     the positive and the negative terms of p.  Their float Horner
@@ -300,38 +329,51 @@ def _bracket_form(coeffs: tuple[int, ...], lo: float, hi: float
     exact value, and |P+'| + |P-'| <= sum i |c_i| r^(i-1) <= d * scale / r.
     Subtracting 2d * guard / r = 8 d (d+1) u * scale / r covers that error
     and the rounding of the subtraction, so p'_min never exceeds the exact
-    bound.  It may be NaN or infinite after an overflow; the caller then
-    proves no window."""
-    if max(map(abs, coeffs)) < _EXACT_INT:
-        fc = tuple(map(float, reversed(coeffs)))  # exact: |c_i| < 2^53
-        r = max(1.0, abs(lo), abs(hi))
-        scale = pos = dpos = neg = dneg = 0.0
-        for c in fc:
-            scale = scale * r + abs(c)
-            dpos = dpos * lo + pos
-            dneg = dneg * hi + neg
-            if c > 0.0:
-                pos = pos * lo + c
-                neg *= hi
-            else:
-                pos *= lo
-                neg = neg * hi + c
-        # Horner intermediates stay below about scale, so a finite 2*scale
-        # also rules out overflow in the evaluation.
-        if math.isfinite(2.0 * scale):
-            d = len(fc) - 1
-            guard = 4 * (d + 1) * _UNIT_ROUNDOFF * scale
-            slope = dpos + dneg - 2 * d * guard / r if lo > 0 else -math.inf
-            return fc, guard, slope
-    return (), math.inf, -math.inf  # |0.0| > inf never holds: all exact
+    bound.  It may be NaN or infinite after an overflow; `_root_windows`
+    then proves no window."""
+    r = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    scale = pos = dpos = neg = dneg = np.zeros(len(fc))
+    for c in fc.T:
+        scale = scale * r + np.abs(c)
+        dpos = dpos * lo + pos
+        dneg = dneg * hi + neg
+        # a term of the other sign adds 0.0, which changes no nonzero value
+        up = c > 0.0
+        pos = pos * lo + np.where(up, c, 0.0)
+        neg = neg * hi + np.where(up, 0.0, c)
+    d = fc.shape[1] - 1
+    # Horner intermediates stay below about scale, so a finite 2*scale also
+    # rules out overflow in the evaluation.
+    form = np.isfinite(2.0 * scale)
+    guard = np.where(form, 4 * (d + 1) * _UNIT_ROUNDOFF * scale, np.inf)
+    slope = np.where(form & (lo > 0.0), dpos + dneg - 2 * d * guard / r,
+                     -np.inf)
+    return np.where(form[:, None], fc, np.nan), guard, slope
 
 
-def _close_sign(coeffs: tuple[int, ...], fc: tuple[float, ...],
-                x: float) -> int:
-    """Proven sign of an integer polynomial at x, for its float coefficients
-    fc from `_bracket_form`, where the float Horner value lies within the
-    static guard: from a running error bound when that decides it, else
-    exactly.
+def _signs(fc: np.ndarray, guard: np.ndarray, exact: _Exact,
+           rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float Horner values of the given rows at their x and the proven
+    signs: from the value where it lies beyond the row's static guard
+    (fc, guard from `_bracket_form` on an interval holding x), else from
+    `_close_signs`.  The one place a sign is decided."""
+    f = fc[rows]
+    v = f[:, 0]
+    for c in f.T[1:]:
+        v = v * x + c
+    s = np.where(v > 0.0, 1, -1)
+    near = ~(np.abs(v) > guard[rows])  # never beyond an infinite guard
+    if near.any():
+        s[near] = _close_signs(f[near], exact, rows[near], x[near])
+    return v, s
+
+
+def _close_signs(f: np.ndarray, exact: _Exact, rows: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """Proven signs of the polynomials with float coefficients f at x,
+    where the float Horner value lies within the static guard: from a
+    running error bound when that decides it, else exactly by
+    `_dyadic_sign` on exact(row).
 
     Horner's rule computes t_k = fl(y_(k+1) x) and y_k = fl(t_k + c_k), and
     each rounding obeys |fl(z) - z| <= u |fl(z)| while no result is
@@ -342,152 +384,175 @@ def _close_sign(coeffs: tuple[int, ...], fc: tuple[float, ...],
     bound is used only at |x| >= 1: with integer c_k no nonzero y_k is below
     2^-53 (a cancelling sum t + c is exact, a multiple of ulp(c) or ulp(t)
     with |t| >= |c|/2 >= 1/2), and no product with |x| >= 1 shrinks, so no
-    intermediate is subnormal.  A smaller |x|, an empty form, or a bound
-    that is not finite leaves the sign to `_dyadic_sign`."""
-    ax = abs(x)
-    if fc and ax >= 1.0:
-        y = fc[0]
-        mu = 0.0
-        for c in fc[1:]:
-            t = y * x
-            y = t + c
-            mu = mu * ax + (abs(t) + abs(y))
-        d = len(fc) - 1
-        slack = _UNIT_ROUNDOFF * (1.0 + (4 * d + 2) * _UNIT_ROUNDOFF)  # exact
-        if abs(y) > mu * slack:  # never when mu is nan or inf
-            return 1 if y > 0.0 else -1
-    return _dyadic_sign(coeffs, x)
+    intermediate is subnormal.  A smaller |x|, a NaN row, or a bound that
+    is not finite leaves the sign to `_dyadic_sign`."""
+    ax = np.abs(x)
+    y = f[:, 0]
+    mu = np.zeros(len(x))
+    for c in f.T[1:]:
+        t = y * x
+        y = t + c
+        mu = mu * ax + (np.abs(t) + np.abs(y))
+    d = f.shape[1] - 1
+    slack = _UNIT_ROUNDOFF * (1.0 + (4 * d + 2) * _UNIT_ROUNDOFF)  # exact
+    s = np.where(y > 0.0, 1, -1)
+    # never decided when mu is nan or inf
+    for j in np.nonzero(~((ax >= 1.0) & (np.abs(y) > mu * slack)))[0]:
+        s[j] = _dyadic_sign(exact(rows[j]), float(x[j]))
+    return s
 
 
-def _signed_value(coeffs: tuple[int, ...], fc: tuple[float, ...],
-                  guard: float, x: float) -> tuple[float, int]:
-    """Float Horner value of an integer polynomial at x and its proven sign,
-    for (fc, guard) given by `_bracket_form` on an interval holding x."""
-    val = 0.0
-    for c in fc:
-        val = val * x + c
-    if abs(val) > guard:
-        return val, (1 if val > 0 else -1)
-    return val, _close_sign(coeffs, fc, x)
+def _root_windows(fc: np.ndarray, guard: np.ndarray, slope: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray, v_lo: np.ndarray,
+                  v_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with lo <= a < r < b <= hi for the root r of each row's p on
+    a bracket with p(lo) < 0 < p(hi), given (fc, guard, slope) from
+    `_bracket_form` on an interval holding [lo, hi] and the float values
+    v_lo, v_hi of p at the ends.  A row with no proof of monotonicity gets
+    (lo, hi).
 
-
-def _root_window(fc: tuple[float, ...], guard: float, slope: float,
-                 lo: float, hi: float, v_lo: float, v_hi: float
-                 ) -> tuple[float, float]:
-    """(a, b) with lo <= a < r < b <= hi for the root r of p on a bracket
-    with p(lo) < 0 < p(hi), given (fc, guard, slope) from `_bracket_form`
-    on an interval holding [lo, hi] and the float values v_lo, v_hi of p at
-    the ends.  With no proof of monotonicity it is (lo, hi).
-
-    Newton steps from the regula-falsi point stop once |p^(x)| is within
-    the guard; x only ever picks the window's centre, and the radius
-    (|p^(x)| + guard) / slope holds for any x in [lo, hi]."""
-    if not 0.0 < slope < math.inf:
-        return lo, hi
+    Newton steps from the regula-falsi point stop, row by row, once
+    |p^(x)| is within the guard; x only ever picks the window's centre, and
+    the radius (|p^(x)| + guard) / slope holds for any x in [lo, hi]."""
+    a, b = lo.copy(), hi.copy()
+    mono = np.nonzero((0.0 < slope) & (slope < np.inf))[0]
+    if not mono.size:
+        return a, b
+    fc, guard, slope, lo, hi, v_lo, v_hi = (
+        arr[mono] for arr in (fc, guard, slope, lo, hi, v_lo, v_hi))
     # the end values may sit inside the guard band with either float sign
-    x = lo - v_lo * (hi - lo) / (v_hi - v_lo) if v_lo < 0.0 < v_hi else hi
+    x = np.where((v_lo < 0.0) & (0.0 < v_hi),
+                 lo - v_lo * (hi - lo) / (v_hi - v_lo), hi)
+    val = np.empty(len(x))
+    live = np.arange(len(x))  # the rows still taking Newton steps
     for step in range(_NEWTON_STEPS + 1):
-        x = lo if x < lo else (hi if x > hi else x)
-        val = dval = 0.0
-        for c in fc:
-            dval = dval * x + val
-            val = val * x + c
-        if abs(val) <= guard or step == _NEWTON_STEPS or not dval > 0.0:
+        xl, l, h = x[live], lo[live], hi[live]
+        xl = np.where(xl < l, l, np.where(xl > h, h, xl))
+        v = dv = np.zeros(len(live))
+        for c in fc[live].T:
+            dv = dv * xl + v
+            v = v * xl + c
+        x[live], val[live] = xl, v
+        if step == _NEWTON_STEPS:
             break
-        x -= val / dval
-    rad = (abs(val) + guard) / slope * _RADIUS_SLACK
-    return (max(lo, math.nextafter(x - rad, -math.inf)),
-            min(hi, math.nextafter(x + rad, math.inf)))
+        go = (np.abs(v) > guard[live]) & (dv > 0.0)
+        live = live[go]
+        if not live.size:
+            break
+        x[live] -= v[go] / dv[go]
+    rad = (np.abs(val) + guard) / slope * _RADIUS_SLACK
+    left = np.nextafter(x - rad, -np.inf)
+    right = np.nextafter(x + rad, np.inf)
+    a[mono] = np.where(left > lo, left, lo)
+    b[mono] = np.where(right < hi, right, hi)
+    return a, b
 
 
-def bisect_largest_root(poly: IntPoly, lo: float, hi: float) -> RootBracket:
-    """Bisection on a bracket with poly(lo) < 0 <= poly(hi), down to a
-    width of BISECT_WIDTH, to adjacent floats, or through 200 halvings.
+def _bisect_rows(fc: np.ndarray, exact: _Exact, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[list[float], list[float]]:
+    """The row kernel: for each row a bisection of its bracket, with
+    p(lo) < 0 <= p(hi), down to a width of BISECT_WIDTH, to adjacent
+    floats, or through 200 halvings; lo == hi where the root was hit.
 
     The right end may itself be the root (closed bracket).  Every sign is
-    proven by the module's three steps: the static guard of Higham's
-    rounding bound, computed once for the whole bracket (see
-    `_bracket_form`), then the running bound of `_close_sign`, then exact
-    arithmetic; so an endpoint root is detected, never straddled.  The two
-    ends and every midpoint that needs a value get their float Horner value
-    and guard test in this frame, with no call per point.  Ends that are
-    not finite, or with lo > hi, are rejected before any sign.
+    proven by the module's three steps, through `_signs`: the static guard
+    of Higham's rounding bound, computed once for each row's whole bracket
+    (see `_bracket_form`), then the running bound of `_close_signs`, then
+    exact arithmetic; so an endpoint root is detected, never straddled.
+    Ends that are not finite, or with lo > hi, are rejected before any
+    sign.
 
-    The root window (a, b) of `_root_window` is where monotonicity leaves
+    The root window (a, b) of `_root_windows` is where monotonicity leaves
     the sign open: p'_min > 0 on the bracket makes p increasing, and the
     mean-value radius (|p^(x)| + guard) / p'_min, widened for rounding,
     puts the root strictly inside (a, b).  A midpoint at or below a has
-    sign -1 and one at or above b +1.  As lo < b and a < hi hold
-    throughout, such a midpoint can only meet the end on its own side, so
-    it costs one comparison with a or b and one adjacent-floats check.
-    The midpoints, the stopping rule, the exact-root return and so the
-    bracket are those of the bisection that evaluates every sign exactly.
+    sign -1 and one at or above b +1, with no evaluation.  Each row stops
+    by the rules of the bisection that evaluates every sign exactly: its
+    width, adjacent floats (a midpoint not strictly inside), the cap, or a
+    sign 0.  So its midpoints, its exact-root return and its bracket are
+    that bisection's.
 
     An analytic end such as a rounded square root can land on the wrong
     side of the largest root at large m, so a left end whose sign is not
     negative steps down one float, and a right end whose sign is negative
     steps up one.  One step suffices for a correctly rounded square root,
     which is within half a float of the exact one.  The guard covers both
-    steps, and a stepped end takes `_signed_value`'s sign: steps occur only
-    from about m = 10^8 on.
+    steps: steps occur only from about m = 10^8 on.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise BoundsError(f"bracket [{lo}, {hi}] has an end that is not finite")
-    if lo > hi:
-        raise BoundsError(f"bracket [{lo}, {hi}] is reversed")
+    bad = np.nonzero(~(np.isfinite(lo) & np.isfinite(hi)))[0]
+    if bad.size:
+        i = bad[0]
+        raise BoundsError(f"bracket [{float(lo[i])}, {float(hi[i])}] has an "
+                          "end that is not finite")
+    bad = np.nonzero(lo > hi)[0]
+    if bad.size:
+        i = bad[0]
+        raise BoundsError(f"bracket [{float(lo[i])}, {float(hi[i])}] is "
+                          "reversed")
+    with np.errstate(all="ignore"):  # overflow and NaN rows go exact
+        fc, guard, slope = _bracket_form(fc, np.nextafter(lo, -np.inf),
+                                         np.nextafter(hi, np.inf))
+        rows = np.arange(len(lo))
+        v_lo, s_lo = _signs(fc, guard, exact, rows, lo)
+        step = np.nonzero(s_lo >= 0)[0]
+        if step.size:
+            lo = lo.copy()
+            lo[step] = np.nextafter(lo[step], -np.inf)
+            v_lo[step], s_lo[step] = _signs(fc, guard, exact, step, lo[step])
+        v_hi, s_hi = _signs(fc, guard, exact, rows, hi)
+        step = np.nonzero(s_hi < 0)[0]
+        if step.size:
+            hi = hi.copy()
+            hi[step] = np.nextafter(hi[step], np.inf)
+            v_hi[step], s_hi[step] = _signs(fc, guard, exact, step, hi[step])
+        hit = s_hi == 0
+        bad = np.nonzero(~hit & ~((s_lo < 0) & (s_hi > 0)))[0]
+        if bad.size:
+            i = bad[0]
+            raise BoundsError(
+                f"bracket [{float(lo[i])}, {float(hi[i])}] has signs "
+                f"({s_lo[i]}, {s_hi[i]}); expected (-, +)")
+        out_lo, out_hi = np.where(hit, hi, lo), hi.copy()
+        live = np.nonzero(~hit)[0]  # the rows still bisecting
+        a, b = _root_windows(*(arr[live] for arr in (fc, guard, slope, lo, hi,
+                                                     v_lo, v_hi)))
+        lo, hi = lo[live], hi[live]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            stop = (hi - lo <= BISECT_WIDTH) | (mid <= lo) | (mid >= hi)
+            if stop.any():
+                out_lo[live[stop]], out_hi[live[stop]] = lo[stop], hi[stop]
+                go = ~stop
+                live, lo, hi, a, b, mid = (
+                    arr[go] for arr in (live, lo, hi, a, b, mid))
+                if not live.size:
+                    break
+            # lo < b and a < hi hold throughout, so lo < mid <= a and
+            # b <= mid < hi have the signs -1 and +1
+            up = mid > a
+            need = np.nonzero(up & (mid < b))[0]
+            if need.size:
+                s = _signs(fc, guard, exact, live[need], mid[need])[1]
+                up[need] = s > 0
+            lo = np.where(up, lo, mid)
+            hi = np.where(up, mid, hi)
+            if need.size:
+                # sign 0 is an exact hit: both ends move to the root, and
+                # the width 0 stops the row
+                hit = need[s == 0]
+                hi[hit] = mid[hit]
+        out_lo[live], out_hi[live] = lo, hi
+    return out_lo.tolist(), out_hi.tolist()
+
+
+def bisect_largest_root(poly: IntPoly, lo: float, hi: float) -> RootBracket:
+    """Bisection on a bracket with poly(lo) < 0 <= poly(hi): the one-row
+    call of the row kernel `_bisect_rows`, which gives its stopping rules,
+    sign proofs and end steps."""
     ic = poly.as_integer()
-    fc, guard, slope = _bracket_form(ic, math.nextafter(lo, -math.inf),
-                                     math.nextafter(hi, math.inf))
-    v_lo = v_hi = 0.0
-    for c in fc:
-        v_lo = v_lo * lo + c
-        v_hi = v_hi * hi + c
-    s_lo = (-1 if v_lo < -guard else 1 if v_lo > guard
-            else _close_sign(ic, fc, lo))
-    if s_lo >= 0:
-        lo = math.nextafter(lo, -math.inf)
-        v_lo, s_lo = _signed_value(ic, fc, guard, lo)
-    s_hi = (-1 if v_hi < -guard else 1 if v_hi > guard
-            else _close_sign(ic, fc, hi))
-    if s_hi < 0:
-        hi = math.nextafter(hi, math.inf)
-        v_hi, s_hi = _signed_value(ic, fc, guard, hi)
-    if s_hi == 0:
-        return RootBracket(hi, hi, poly)
-    if not (s_lo < 0 < s_hi):
-        raise BoundsError(
-            f"bracket [{lo}, {hi}] has signs ({s_lo}, {s_hi}); expected (-, +)"
-        )
-    a, b = _root_window(fc, guard, slope, lo, hi, v_lo, v_hi)
-    width = BISECT_WIDTH
-    for _ in range(200):
-        if hi - lo <= width:
-            break
-        mid = 0.5 * (lo + hi)
-        # lo < b and a < hi hold throughout, so a midpoint at or below a can
-        # meet only lo, and one at or above b only hi
-        if mid <= a:
-            if mid == lo:  # adjacent floats
-                break
-            lo = mid
-        elif mid >= b:
-            if mid == hi:
-                break
-            hi = mid
-        elif not lo < mid < hi:
-            break
-        else:
-            v = 0.0
-            for c in fc:
-                v = v * mid + c
-            s = (-1 if v < -guard else 1 if v > guard
-                 else _close_sign(ic, fc, mid))
-            if s < 0:
-                lo = mid
-            elif s > 0:
-                hi = mid
-            else:
-                return RootBracket(mid, mid, poly)
+    (lo,), (hi,) = _bisect_rows(_float_row(ic), lambda i: ic,
+                                np.array([lo], dtype=float),
+                                np.array([hi], dtype=float))
     return RootBracket(lo, hi, poly)
 
 
@@ -500,13 +565,67 @@ def _sqrt_end(k: int) -> float:
                           "range") from None
 
 
+@dataclass(frozen=True, eq=False)
+class _Family:
+    """A bracketed family: its polynomial, for m >= least, with the largest
+    root in (sqrt(m-k), sqrt(m-k+1)], and its float coefficients, highest
+    degree first, as base + m * step, each affine in m."""
+
+    least: int
+    k: int
+    poly: Callable[[int], IntPoly]
+    base: tuple[int, ...]
+    step: tuple[int, ...]
+
+
+_BETA = _Family(5, 2, z_poly, (1, -1, 2, -3), (0, 0, -1, 1))
+_GAMMA = _Family(7, 4, l_poly, (1, 0, 0, 0, -14, 0, 14, 5),
+                 (0, 0, -1, 0, 4, 0, -3, -1))
+
+
+def _family_brackets(fam: _Family, ms: np.ndarray
+                     ) -> tuple[list[float], list[float]]:
+    """The family's bracket ends for each m of the float array ms, with
+    every 4m < 2^53, so that each coefficient is an exact double: the rows
+    are built from the affine formulas and bisected in one kernel call."""
+    fc = np.add(fam.base, np.multiply.outer(ms, fam.step))
+    return _bisect_rows(fc, lambda i: fam.poly(int(ms[i])).coeffs,
+                        np.sqrt(ms - fam.k), np.sqrt(ms - (fam.k - 1)))
+
+
+@lru_cache(maxsize=4)
+def _block(fam: _Family, start: int) -> tuple[list[float], list[float]]:
+    """The family's bracket ends for m in [start, start + min(start,
+    _BLOCK_ROWS)) from its least m on; start is a power of two or a
+    multiple of _BLOCK_ROWS, so the blocks of a scan over m stay few and
+    small."""
+    stop = start + min(start, _BLOCK_ROWS)
+    return _family_brackets(
+        fam, np.arange(max(start, fam.least), stop, dtype=float))
+
+
+def _family_bracket(fam: _Family, m: int) -> RootBracket:
+    """The family's certified bracket at m >= fam.least, read from the
+    aligned block holding m; an m whose coefficients are not all exact
+    doubles (4m >= 2^53) is bisected alone."""
+    poly = fam.poly(m)
+    if 4 * m >= _EXACT_INT:
+        return bisect_largest_root(poly, _sqrt_end(m - fam.k),
+                                   _sqrt_end(m - fam.k + 1))
+    size = min(1 << (m.bit_length() - 1), _BLOCK_ROWS)
+    start = m - m % size
+    lo, hi = _block(fam, start)
+    i = m - max(start, fam.least)
+    return RootBracket(lo[i], hi[i], poly)
+
+
 @lru_cache
 def beta_bracket(m: int) -> RootBracket:
     """Certified enclosure of beta(m) inside (sqrt(m-2), sqrt(m-1)];
     the right end is a root exactly at m = 5 (SK_{2,2} = C_5)."""
     if m < 5:
         raise BoundsError("beta needs m >= 5")
-    return bisect_largest_root(z_poly(m), _sqrt_end(m - 2), _sqrt_end(m - 1))
+    return _family_bracket(_BETA, m)
 
 
 def beta(m: int) -> float:
@@ -520,7 +639,7 @@ def gamma_bracket(m: int) -> RootBracket:
     the right end is a root exactly at m = 7 (S_3(K_{2,2}) = C_7)."""
     if m < 7:
         raise BoundsError("gamma needs m >= 7")
-    return bisect_largest_root(l_poly(m), _sqrt_end(m - 4), _sqrt_end(m - 3))
+    return _family_bracket(_GAMMA, m)
 
 
 def gamma(m: int) -> float:

@@ -59,6 +59,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, islice, repeat
+from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import bounds
@@ -291,6 +292,13 @@ def _union(kids: Iterable[tuple[bytes, Graph]]
             raise RuntimeError(f"class {cform.decode()} came from two parents")
         level[cform] = h
     return sorted(level.items())
+
+
+def _labelled(level: Sequence[tuple[bytes | None, Graph]]) -> bool:
+    """Whether the level is what `_union` makes of it already: every form
+    present and strictly increasing, so that no class is there twice."""
+    forms = [form for form, _ in level]
+    return None not in forms and all(map(lt, forms, islice(forms, 1, None)))
 
 
 # A vertex ranks by its (degree, sum of neighbour degrees), packed as
@@ -539,7 +547,9 @@ def _not_a_cut_vertex(masks: Sequence[int], v: int) -> bool:
 # check that each class came from one parent.  The newest level stays as
 # it was built, with None for the forms the growth did not need (see
 # _children), until anything reads its forms: the growth of the next level,
-# whose parents need them, or a labelled read (_levels_up_to).
+# whose parents need them, or a labelled read (_levels_up_to).  Either
+# passes a level to _union only while it is not `_labelled`, and a
+# `_labelled` level is what _union would return, so none passes it twice.
 _Growth = tuple[str, object]
 _Level = list[tuple[bytes | None, Graph]]
 
@@ -628,8 +638,9 @@ def _graph_levels(m: int, growth: _Growth, jobs: int = 1) -> list[_Level]:
                 raise
         else:
             blocks = [_grow(growth, parents)]
-        levels[-1] = _union(zip(chain.from_iterable(f for f, _ in blocks),
-                                (g for _, g in parents)))
+        if not _labelled(parents):
+            levels[-1] = _union(zip(chain.from_iterable(f for f, _ in blocks),
+                                    (g for _, g in parents)))
         levels.append([*chain.from_iterable(c for _, c in blocks),
                        *_roots(growth, len(levels))])
     return levels[:m + 1]
@@ -638,11 +649,11 @@ def _graph_levels(m: int, growth: _Growth, jobs: int = 1) -> list[_Level]:
 def _levels_up_to(m: int, growth: _Growth, jobs: int = 1) -> list[_Level]:
     """The stored levels of the growth, built on until they hold levels
     0..m (see _graph_levels), all labelled: a newest level m is labelled
-    here, where only the classes the growth left without a form need a
-    labelling."""
+    here unless an earlier read did, and only the classes the growth left
+    without a form need a labelling."""
     _graph_levels(m, growth, jobs)
     levels = _LEVELS[growth]
-    if len(levels) == m + 1:
+    if len(levels) == m + 1 and not _labelled(levels[m]):
         levels[m] = _union((form or canonical_form(g), g)
                            for form, g in levels[m])
     return levels

@@ -187,7 +187,9 @@ class IntPoly:
     def as_integer(self) -> tuple[int, ...]:
         """Coefficients scaled by a positive common denominator; an int
         polynomial's own coefficients."""
-        if set(map(type, self.coeffs)) == {int}:
+        # a sum with any Fraction term is a Fraction, so an int sum means
+        # every coefficient is an int
+        if type(sum(self.coeffs)) is int:
             return self.coeffs
         den = math.lcm(*(c.denominator for c in self.coeffs))
         return tuple(int(c * den) for c in self.coeffs)

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,10 +22,11 @@ from specbound.bounds import (
     PENDANT_SITES,
     RootBracket,
     _bracket_form,
-    _close_sign,
+    _close_signs,
     _dyadic_sign,
-    _root_window,
-    _signed_value,
+    _float_row,
+    _root_windows,
+    _signs,
     _sqrt_sign,
     beta,
     beta_bracket,
@@ -407,6 +409,42 @@ def power_poly(a: int, d: int) -> IntPoly:
     return p
 
 
+def one_form(ic: tuple[int, ...], lo: float, hi: float):
+    """The row kernel's (fc, guard, slope) of one integer polynomial on
+    [lo, hi]."""
+    return _bracket_form(_float_row(ic), np.array([lo]), np.array([hi]))
+
+
+def proven_signs(ic: tuple[int, ...], form, xs) -> list[int]:
+    """The signs `_signs` proves for one polynomial, with its `one_form`,
+    at each x of xs."""
+    fc, guard = form[:2]
+    xs = np.array(xs, dtype=float)
+    rows = np.zeros(len(xs), dtype=int)
+    return _signs(fc, guard, lambda i: ic, rows, xs)[1].tolist()
+
+
+def close_signs(ic: tuple[int, ...], fc, xs) -> list[int]:
+    """The signs `_close_signs` proves for one polynomial with the float
+    row fc of its `one_form`, at each x of xs.  Overflow is expected (it
+    sends a sign to exact arithmetic), as in the kernel."""
+    xs = np.array(xs, dtype=float)
+    rows = np.zeros(len(xs), dtype=int)
+    with np.errstate(all="ignore"):
+        return _close_signs(fc[rows], lambda i: ic, rows, xs).tolist()
+
+
+def floats_beside(x: float, count: int = 64) -> list[float]:
+    """The count floats below x, nearest first, then the count above."""
+    out = []
+    for way in (-math.inf, math.inf):
+        y = x
+        for _ in range(count):
+            y = math.nextafter(y, way)
+            out.append(y)
+    return out
+
+
 @pytest.fixture
 def exact_calls(monkeypatch):
     """The points at which the library evaluates a sign exactly."""
@@ -452,12 +490,10 @@ class TestCertifiedSigns:
     def test_left_end_farther_from_zero(self, poly, root, lo, hi):
         """|lo| > |hi|: the guard must bound |x| by |lo|, not by |hi|."""
         ic = poly.as_integer()
-        fc, guard = _bracket_form(ic, lo, hi)[:2]
-        for k in range(-2000, 2001):
-            x = root + k * 1e-4
-            if lo <= x <= hi:
-                assert _signed_value(ic, fc, guard, x)[1] == \
-                    _dyadic_sign(ic, x), x
+        xs = [x for x in (root + k * 1e-4 for k in range(-2000, 2001))
+              if lo <= x <= hi]
+        assert proven_signs(ic, one_form(ic, lo, hi), xs) == [
+            _dyadic_sign(ic, x) for x in xs]
         rb = bisect_largest_root(poly, lo, hi)
         assert (rb.lo, rb.hi) == exact_bisect(poly, lo, hi)
         assert rb.lo <= root <= rb.hi
@@ -472,28 +508,23 @@ class TestCertifiedSigns:
             for bracket, poly, lo, hi in start_brackets(m):
                 rb = bracket(m)
                 ic = poly.as_integer()
-                fc, guard = _bracket_form(ic, lo, hi)[:2]
-                for end in (rb.lo, rb.hi):
-                    for way in (-math.inf, math.inf):
-                        x = end
-                        for _ in range(64):
-                            x = math.nextafter(x, way)
-                            before = len(exact_calls)
-                            s = _signed_value(ic, fc, guard, x)[1]
-                            if len(exact_calls) == before:
-                                float_decided += 1
-                                assert s == _dyadic_sign(ic, x), (m, x)
+                xs = floats_beside(rb.lo) + floats_beside(rb.hi)
+                del exact_calls[:]
+                signs = proven_signs(ic, one_form(ic, lo, hi), xs)
+                exact = set(exact_calls)
+                for x, s in zip(xs, signs):
+                    if x not in exact:
+                        float_decided += 1
+                        assert s == _dyadic_sign(ic, x), (m, x)
         assert float_decided > 1000
 
     def test_exact_evaluations_are_rare(self, exact_calls):
         """The running error bound leaves 52 exact evaluations over these
         3,990 brackets; the static guard alone left 909, and the old 1e-9
         window needed about 17 per bracket."""
-        betas, gammas = range(5, 2001), range(7, 2001)
-        for m in betas:
-            bounds.beta_bracket.__wrapped__(m)  # bypass the bracket cache
-        for m in gammas:
-            bounds.gamma_bracket.__wrapped__(m)
+        # one kernel call per family, past the bracket and block caches
+        bounds._family_brackets(bounds._BETA, np.arange(5.0, 2001.0))
+        bounds._family_brackets(bounds._GAMMA, np.arange(7.0, 2001.0))
         assert len(exact_calls) <= 75
 
     def test_unrepresentable_coefficients_go_exact(self, exact_calls):
@@ -516,6 +547,89 @@ class TestCertifiedSigns:
         assert any(isinstance(c, Fraction) for c in f_poly(4, 13).coeffs)
         assert not hasattr(gamma_bracket(101), "__dict__")
         assert not hasattr(f_poly(3, 10), "__dict__")
+
+
+# float.hex of (lo, hi) for beta and gamma, as the scalar bisection the
+# row kernel replaced gave them: block edges, the exact hits beta(5) and
+# gamma(7), stepped ends at 10^8 + 7, and no float form at 10^20
+PINNED_BRACKETS = {
+    5: (("0x1.0000000000000p+1", "0x1.0000000000000p+1"), None),
+    7: (("0x1.3218d15e84da1p+1", "0x1.3218d15e85476p+1"),
+        ("0x1.0000000000000p+1", "0x1.0000000000000p+1")),
+    15: (("0x1.d424826a4eeecp+1", "0x1.d424826a4f7a2p+1"),
+         ("0x1.ab5a58a970ed6p+1", "0x1.ab5a58a97138ep+1")),
+    16: (("0x1.e50695cabaad0p+1", "0x1.e50695cabb338p+1"),
+         ("0x1.bdd06fcf01333p+1", "0x1.bdd06fcf017bap+1")),
+    1023: (("0x1.ff41ee074aee4p+4", "0x1.ff41ee074afe4p+4"),
+           ("0x1.febfac693f14ap+4", "0x1.febfac693f24bp+4")),
+    1024: (("0x1.ff820189e504ep+4", "0x1.ff820189e514ep+4"),
+           ("0x1.feffd08184c56p+4", "0x1.feffd08184d56p+4")),
+    1025: (("0x1.ffc20d06bf914p+4", "0x1.ffc20d06bfa14p+4"),
+           ("0x1.ff3fec8dbf469p+4", "0x1.ff3fec8dbf56ap+4")),
+    2047: (("0x1.69c6814440684p+5", "0x1.69c68144406dfp+5"),
+           ("0x1.6998b4847c3b6p+5", "0x1.6998b4847c410p+5")),
+    2048: (("0x1.69dd255c009a2p+5", "0x1.69dd255c009fcp+5"),
+           ("0x1.69af5b8235eb8p+5", "0x1.69af5b8235f12p+5")),
+    10 ** 8 + 7: (("0x1.38800083131a4p+13", "0x1.38800083131a5p+13"),
+                  ("0x1.3880004ea4a8bp+13", "0x1.3880004ea4a8cp+13")),
+    10 ** 20: (("0x1.2a05f1fffffffp+33", "0x1.2a05f20000000p+33"),
+               ("0x1.2a05f1fffffffp+33", "0x1.2a05f20000000p+33")),
+}
+
+
+class TestRowKernel:
+    """beta and gamma brackets are rows of cached blocks of m, [2^k,
+    2^(k+1)) capped at _BLOCK_ROWS rows, which the row kernel bisects in
+    one call; a row's bracket must not depend on the rows beside it."""
+
+    @pytest.mark.parametrize("m", sorted(PINNED_BRACKETS))
+    def test_pinned_brackets(self, m):
+        for bracket, want in zip((beta_bracket, gamma_bracket),
+                                 PINNED_BRACKETS[m]):
+            if want is not None:
+                rb = bracket.__wrapped__(m)  # bypass the bracket cache
+                assert (rb.lo.hex(), rb.hi.hex()) == want, bracket.__name__
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8, 15, 16, 1023, 1024, 1025,
+                                   3071, 3072, 10 ** 12 + 5])
+    def test_block_rows_equal_one_row_calls(self, m):
+        for bracket, poly, lo, hi in start_brackets(m):
+            assert bracket(m) == bisect_largest_root(poly, lo, hi), m
+
+    def test_block_with_stepped_and_unstepped_ends(self):
+        """gamma's ends begin to step near m = 10^8: 217 rows of the
+        block that holds 10^8 step an end and the others do not."""
+        start = 10 ** 8 - 10 ** 8 % bounds._BLOCK_ROWS
+        los, his = bounds._block(bounds._GAMMA, start)
+        stepped = 0
+        for m, lo, hi in zip(range(start, start + bounds._BLOCK_ROWS),
+                             los, his):
+            poly, ends = l_poly(m), (math.sqrt(m - 4), math.sqrt(m - 3))
+            moved = stepped_ends(poly, *ends)
+            stepped += moved != ends
+            assert (lo, hi) == exact_bisect(poly, *moved), m
+        assert stepped == 217
+
+    def test_the_sweep_builds_one_block_per_family(self):
+        """m = 9 and 10 read the 8-row block [8, 16) of each family."""
+        bounds._block.cache_clear()
+        for m in (9, 10):
+            bounds.beta_bracket.__wrapped__(m)
+            bounds.gamma_bracket.__wrapped__(m)
+        info = bounds._block.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        for family in (bounds._BETA, bounds._GAMMA):
+            assert [len(ends) for ends in bounds._block(family, 8)] == [8, 8]
+
+    def test_no_float_form_is_one_row(self, exact_calls):
+        """At m = 10^20 no coefficient is an exact double, so every sign is
+        exact: one call bisects its own row, two ends and one step."""
+        for bracket in (beta_bracket, gamma_bracket):
+            del exact_calls[:]
+            rb = bracket.__wrapped__(10 ** 20)
+            assert len(exact_calls) <= 4  # two ends and their steps
+            assert rb.hi == math.nextafter(rb.lo, math.inf)
+            assert rb.verify_signs_exact()
 
 
 def clustered_poly(nums, den) -> IntPoly:
@@ -541,17 +655,14 @@ class TestRunningBound:
             for bracket, poly, lo, hi in start_brackets(m):
                 rb = bracket(m)
                 ic = poly.as_integer()
-                fc = _bracket_form(ic, lo, hi)[0]
-                for end in (rb.lo, rb.hi):
-                    for way in (-math.inf, math.inf):
-                        x = end
-                        for _ in range(64):
-                            x = math.nextafter(x, way)
-                            before = len(exact_calls)
-                            s = _close_sign(ic, fc, x)
-                            if len(exact_calls) == before:
-                                decided += 1
-                                assert s == _dyadic_sign(ic, x), (m, x)
+                xs = floats_beside(rb.lo) + floats_beside(rb.hi)
+                del exact_calls[:]
+                signs = close_signs(ic, one_form(ic, lo, hi)[0], xs)
+                exact = set(exact_calls)
+                for x, s in zip(xs, signs):
+                    if x not in exact:
+                        decided += 1
+                        assert s == _dyadic_sign(ic, x), (m, x)
         assert decided > 18000  # 20,212 of the 20,480 points
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=6),
@@ -562,26 +673,26 @@ class TestRunningBound:
         must be the exact one."""
         p = clustered_poly(nums, den)
         ic = p.as_integer()
-        fc = _bracket_form(ic, 1.0, 61.0)[0]
+        fc = one_form(ic, 1.0, 61.0)[0]
         for n in set(nums):
             x = n / den
             for _ in range(abs(steps)):
                 x = math.nextafter(x, math.copysign(math.inf, steps))
-            assert _close_sign(ic, fc, x) == _dyadic_sign(ic, x), x
+            assert close_signs(ic, fc, [x]) == [_dyadic_sign(ic, x)], x
 
     def test_subnormal_intermediates_go_exact(self, exact_calls):
         """x^3 at 1e-105: Horner's x^2 and x^3 are subnormal, where a
         rounding error is no longer relative to the result."""
         ic = (0, 0, 0, 1)
-        fc = _bracket_form(ic, -1.0, 1.0)[0]
-        assert _close_sign(ic, fc, 1e-105) == 1
+        fc = one_form(ic, -1.0, 1.0)[0]
+        assert close_signs(ic, fc, [1e-105]) == [1]
         assert exact_calls == [1e-105]
 
     def test_overflow_goes_exact(self, exact_calls):
         """x^2 - 1 at 1e200: x^2 overflows, so the bound is not finite."""
         ic = (-1, 0, 1)
-        fc = _bracket_form(ic, 0.0, 1.0)[0]
-        assert _close_sign(ic, fc, 1e200) == 1
+        fc = one_form(ic, 0.0, 1.0)[0]
+        assert close_signs(ic, fc, [1e200]) == [1]
         assert exact_calls == [1e200]
 
 
@@ -625,16 +736,17 @@ class TestStopRules:
 
 @pytest.fixture
 def windows(monkeypatch):
-    """(lo, hi, a, b) for every root window the library proves: the
-    bracket after the left-end steps, and the window inside it."""
+    """(lo, hi, a, b) for every root window the library proves, one per
+    row that the kernel bisects, in row order: the bracket after the end
+    steps, and the window inside it."""
     seen = []
 
     def recording(fc, guard, slope, lo, hi, v_lo, v_hi):
-        a, b = _root_window(fc, guard, slope, lo, hi, v_lo, v_hi)
-        seen.append((lo, hi, a, b))
+        a, b = _root_windows(fc, guard, slope, lo, hi, v_lo, v_hi)
+        seen.extend(zip(lo.tolist(), hi.tolist(), a.tolist(), b.tolist()))
         return a, b
 
-    monkeypatch.setattr(bounds, "_root_window", recording)
+    monkeypatch.setattr(bounds, "_root_windows", recording)
     return seen
 
 
@@ -650,18 +762,20 @@ class TestRootWindow:
     every bracket right but would fail the width check."""
 
     def check_windows(self, ms, windows):
-        for m in ms:
-            for bracket, poly, _, _ in start_brackets(m):
-                del windows[:]
-                rb = bracket.__wrapped__(m)  # bypass the bracket cache
-                if rb.lo == rb.hi:  # a root at the right end: no window
-                    assert not windows, m
-                    continue
-                (lo, hi, a, b), = windows
-                ic = poly.as_integer()
+        for family in (bounds._BETA, bounds._GAMMA):
+            ms_of = [m for m in ms if m >= family.least]
+            del windows[:]
+            # one kernel call, past the bracket and block caches
+            los, his = bounds._family_brackets(
+                family, np.array(ms_of, dtype=float))
+            # a root at the right end gets no window
+            bisected = [m for m, lo, hi in zip(ms_of, los, his) if lo < hi]
+            assert len(windows) == len(bisected)
+            for m, (lo, hi, a, b) in zip(bisected, windows):
+                ic = family.poly(m).as_integer()
                 assert lo <= a < b <= hi, m
                 assert _dyadic_sign(ic, a) < 0 < _dyadic_sign(ic, b), m
-                if bracket is gamma_bracket and m in GAMMA_WHOLE_BRACKET:
+                if family is bounds._GAMMA and m in GAMMA_WHOLE_BRACKET:
                     assert (a, b) == (lo, hi), m
                 else:
                     assert b - a < 100 * BISECT_WIDTH, m

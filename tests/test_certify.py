@@ -306,6 +306,29 @@ class TestEnumeration:
         with pytest.raises(RuntimeError, match="two parents"):
             certify._union([(canonical_form(g), g), (canonical_form(g), g)])
 
+    def test_each_level_passes_union_once(self, monkeypatch, fresh_levels):
+        """A labelled read sorts and checks a newest level once; a repeat
+        read, or the growth of the next level, does not redo it."""
+        real = certify._union
+        calls = []
+
+        def counting_union(kids):
+            calls.append(1)
+            return real(kids)
+
+        monkeypatch.setattr(certify, "_union", counting_union)
+        filt = ClassFilter(triangle_free=True)
+        growth = certify._checked_growth(9, filt, 1)
+        first = [canon6(g) for g in enumerate_graphs(9, filt)]
+        assert calls
+        del calls[:]
+        assert [canon6(g) for g in enumerate_graphs(9, filt)] == first
+        assert not calls  # the repeat read
+        certify._graph_levels(10, growth)
+        assert not calls  # growing from the labelled level 9
+        list(enumerate_graphs(10, filt))
+        assert len(calls) == 1  # labelling the new level 10
+
     def test_canonical_form_calls_per_class(self, monkeypatch, fresh_levels):
         # the acceptance rule labels each class about 2.5 times (the class
         # itself plus tied deletions); labelling every augmentation would
