@@ -1,7 +1,8 @@
 """Every beta and gamma bracket for m <= 10^4, the ones the `algebra`
 benchmark workload computes, must equal the bisection that computes every
-sign exactly.  Tier-1 compares them for m <= 3000 and 200 sampled m up to
-10^6; run this with
+sign exactly, and so must every value that `beta` and `gamma` read without
+a bracket.  Tier-1 compares the brackets for m <= 3000 and 200 sampled m
+up to 10^6; run this with
 
     PYTHONPATH=src python -m pytest -q slow_tests
 """
@@ -34,13 +35,25 @@ def exact_bisect(coeffs, lo, hi):
     return lo, hi
 
 
-def test_every_beta_and_gamma_bracket_up_to_1e4():
+def exact_values():
+    """(value, bracket, m, exact (lo, hi)) for beta and gamma, m <= 10^4."""
     for m in range(5, 10 ** 4 + 1):
-        families = [(bounds.beta_bracket, z_poly, 2)]
+        families = [(bounds.beta, bounds.beta_bracket, z_poly, 2)]
         if m >= 7:
-            families.append((bounds.gamma_bracket, l_poly, 4))
-        for bracket, family, k in families:
-            rb = bracket.__wrapped__(m)  # bypass the bracket cache
-            want = exact_bisect(family(m).as_integer(), math.sqrt(m - k),
-                                math.sqrt(m - k + 1))
-            assert (rb.lo, rb.hi) == want, (bracket.__name__, m)
+            families.append((bounds.gamma, bounds.gamma_bracket, l_poly, 4))
+        for value, bracket, family, k in families:
+            yield value, bracket, m, exact_bisect(
+                family(m).as_integer(), math.sqrt(m - k),
+                math.sqrt(m - k + 1))
+
+
+def test_every_beta_and_gamma_bracket_up_to_1e4():
+    for _, bracket, m, want in exact_values():
+        rb = bracket.__wrapped__(m)  # bypass the bracket cache
+        assert (rb.lo, rb.hi) == want, (bracket.__name__, m)
+
+
+def test_every_beta_and_gamma_value_up_to_1e4():
+    for value, _, m, (lo, hi) in exact_values():
+        want = hi if lo == hi else 0.5 * (lo + hi)
+        assert value(m).hex() == want.hex(), (value.__name__, m)

@@ -35,9 +35,12 @@ still open, and `_dyadic_sign` the third for each point still undecided.
 NumPy's float64 operations round as Python's floats do, and the kernel
 performs on each row the operations of a scalar bisection, in the same
 order, so a row's bracket does not depend on the rows beside it.
-`bisect_largest_root` is the kernel's one-row call.  `beta_bracket` and
-`gamma_bracket` read a row of a cached block of m (`_block`), whose
-coefficient rows come from the families' formulas, affine in m.
+`bisect_largest_root` is the kernel's one-row call.  beta and gamma read
+their ends through `_family_ends`: a row of the cached block of 1,024
+aligned m that holds m (`_block`), whose coefficient rows come from the
+families' formulas, affine in m.  `beta` and `gamma` return the midpoint
+of those ends and build no `RootBracket`; `beta_bracket` and
+`gamma_bracket` wrap the same ends in one.
 
 Most midpoints need no evaluation at all.  Before the loop the kernel
 proves a root window (a, b) with a < r < b around the root r:
@@ -60,13 +63,15 @@ steps.  The signs are the exact ones either way, so the bracket is the
 exact bisection's to the bit.  Without a proof of monotonicity (lo <= 0,
 p'_min <= 0, or every sign exact) the window is the whole bracket.
 
-For beta and gamma at m <= 10^4 (19,990 brackets in 34 blocks) the static
-guard leaves 10,461 signs open, and the running bound all but 589 of them.
+For beta and gamma at m <= 10^4 (19,990 brackets, read from 20 blocks) the
+static guard leaves 10,461 signs open, and the running bound all but 589
+of them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -232,7 +237,7 @@ class RootBracket:
 
     @property
     def value(self) -> float:
-        return self.hi if self.lo == self.hi else 0.5 * (self.lo + self.hi)
+        return _midpoint(self.lo, self.hi)
 
     def verify_signs_exact(self) -> bool:
         """Re-check the bracket in exact arithmetic: poly(lo) < 0 and
@@ -265,6 +270,12 @@ class RootBracket:
         else:
             below = _sqrt_sign(ic, t) >= 0
         return above and below
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """The value of a bracket [lo, hi]: its midpoint, or the root itself
+    when it was hit (lo == hi)."""
+    return hi if lo == hi else 0.5 * (lo + hi)
 
 
 def _dyadic_sign(coeffs: tuple[int, ...], x: float) -> int:
@@ -567,10 +578,12 @@ def _sqrt_end(k: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Family:
-    """A bracketed family: its polynomial, for m >= least, with the largest
-    root in (sqrt(m-k), sqrt(m-k+1)], and its float coefficients, highest
-    degree first, as base + m * step, each affine in m."""
+    """A bracketed family: the name of its root, its polynomial, for
+    m >= least, with the largest root in (sqrt(m-k), sqrt(m-k+1)], and its
+    float coefficients, highest degree first, as base + m * step, each
+    affine in m."""
 
+    name: str
     least: int
     k: int
     poly: Callable[[int], IntPoly]
@@ -578,8 +591,8 @@ class _Family:
     step: tuple[int, ...]
 
 
-_BETA = _Family(5, 2, z_poly, (1, -1, 2, -3), (0, 0, -1, 1))
-_GAMMA = _Family(7, 4, l_poly, (1, 0, 0, 0, -14, 0, 14, 5),
+_BETA = _Family("beta", 5, 2, z_poly, (1, -1, 2, -3), (0, 0, -1, 1))
+_GAMMA = _Family("gamma", 7, 4, l_poly, (1, 0, 0, 0, -14, 0, 14, 5),
                  (0, 0, -1, 0, 4, 0, -3, -1))
 
 
@@ -595,56 +608,63 @@ def _family_brackets(fam: _Family, ms: np.ndarray
 
 @lru_cache(maxsize=4)
 def _block(fam: _Family, start: int) -> tuple[list[float], list[float]]:
-    """The family's bracket ends for m in [start, start + min(start,
-    _BLOCK_ROWS)) from its least m on; start is a power of two or a
-    multiple of _BLOCK_ROWS, so the blocks of a scan over m stay few and
-    small."""
-    stop = start + min(start, _BLOCK_ROWS)
+    """The family's bracket ends for m in [max(start, fam.least), start +
+    _BLOCK_ROWS); start is a multiple of _BLOCK_ROWS, so a scan over m
+    bisects each aligned block once."""
     return _family_brackets(
-        fam, np.arange(max(start, fam.least), stop, dtype=float))
+        fam, np.arange(max(start, fam.least), start + _BLOCK_ROWS,
+                       dtype=float))
 
 
-def _family_bracket(fam: _Family, m: int) -> RootBracket:
-    """The family's certified bracket at m >= fam.least, read from the
-    aligned block holding m; an m whose coefficients are not all exact
-    doubles (4m >= 2^53) is bisected alone."""
-    poly = fam.poly(m)
+def _family_m(fam: _Family, m: int) -> int:
+    """m as an int (any integer type, never a float), checked against the
+    family's least m."""
+    m = operator.index(m)
+    if m < fam.least:
+        raise BoundsError(f"{fam.name} needs m >= {fam.least}")
+    return m
+
+
+def _family_ends(fam: _Family, m: int) -> tuple[float, float]:
+    """The ends of the family's certified bracket at an int m >= fam.least:
+    a row of the aligned block holding m, or, for an m whose coefficients
+    are not all exact doubles (4m >= 2^53), a bisection of its own."""
     if 4 * m >= _EXACT_INT:
-        return bisect_largest_root(poly, _sqrt_end(m - fam.k),
-                                   _sqrt_end(m - fam.k + 1))
-    size = min(1 << (m.bit_length() - 1), _BLOCK_ROWS)
-    start = m - m % size
+        rb = bisect_largest_root(fam.poly(m), _sqrt_end(m - fam.k),
+                                 _sqrt_end(m - fam.k + 1))
+        return rb.lo, rb.hi
+    start = m - m % _BLOCK_ROWS
     lo, hi = _block(fam, start)
     i = m - max(start, fam.least)
-    return RootBracket(lo[i], hi[i], poly)
+    return lo[i], hi[i]
 
 
-@lru_cache
+@lru_cache(typed=True)  # so that a float m misses, and is rejected
 def beta_bracket(m: int) -> RootBracket:
     """Certified enclosure of beta(m) inside (sqrt(m-2), sqrt(m-1)];
     the right end is a root exactly at m = 5 (SK_{2,2} = C_5)."""
-    if m < 5:
-        raise BoundsError("beta needs m >= 5")
-    return _family_bracket(_BETA, m)
+    m = _family_m(_BETA, m)
+    return RootBracket(*_family_ends(_BETA, m), z_poly(m))
 
 
 def beta(m: int) -> float:
-    """Largest root of Z(x); the triangle-free non-bipartite spectral bound."""
-    return beta_bracket(m).value
+    """Largest root of Z(x); the triangle-free non-bipartite spectral bound,
+    read from the bracket's ends without building a `RootBracket`."""
+    return _midpoint(*_family_ends(_BETA, _family_m(_BETA, m)))
 
 
-@lru_cache
+@lru_cache(typed=True)  # so that a float m misses, and is rejected
 def gamma_bracket(m: int) -> RootBracket:
     """Certified enclosure of gamma(m) inside (sqrt(m-4), sqrt(m-3)];
     the right end is a root exactly at m = 7 (S_3(K_{2,2}) = C_7)."""
-    if m < 7:
-        raise BoundsError("gamma needs m >= 7")
-    return _family_bracket(_GAMMA, m)
+    m = _family_m(_GAMMA, m)
+    return RootBracket(*_family_ends(_GAMMA, m), l_poly(m))
 
 
 def gamma(m: int) -> float:
-    """Largest root of L(x); the {C3,C5}-free non-bipartite spectral bound."""
-    return gamma_bracket(m).value
+    """Largest root of L(x); the {C3,C5}-free non-bipartite spectral bound,
+    read from the bracket's ends without building a `RootBracket`."""
+    return _midpoint(*_family_ends(_GAMMA, _family_m(_GAMMA, m)))
 
 
 def star_plus_lambda(m: int) -> float:

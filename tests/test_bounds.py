@@ -228,6 +228,57 @@ class TestBracketCache:
         assert all(size is not None for size in sizes.values()), sizes
 
 
+class TestValuePath:
+    """beta and gamma read the bracket's ends with no RootBracket and no
+    bracket cache entry; the value must be the bracket's, bit for bit."""
+
+    @pytest.mark.parametrize("m", [5, 7, 9, 10, 1023, 1024, 1025, 2047,
+                                   2048, 10 ** 8 + 7, 2 ** 51, 10 ** 20])
+    def test_value_equals_the_bracket_value(self, m):
+        pairs = [(beta, beta_bracket)] + [(gamma, gamma_bracket)] * (m >= 7)
+        for value, bracket in pairs:
+            want = bracket.__wrapped__(m).value  # bypass the bracket cache
+            assert value(m).hex() == want.hex(), (bracket.__name__, m)
+
+    def test_a_scan_adds_no_bracket_cache_entry(self):
+        before = beta_bracket.cache_info(), gamma_bracket.cache_info()
+        for m in range(7, 3001):
+            beta(m)
+            gamma(m)
+        assert (beta_bracket.cache_info(), gamma_bracket.cache_info()) == before
+
+    @pytest.mark.parametrize("value, bracket", [(beta, beta_bracket),
+                                                (gamma, gamma_bracket)])
+    def test_numpy_integers_are_their_int(self, value, bracket):
+        for m in (9, 1030):
+            for other in (np.int64(m), np.int32(m), np.uint16(m)):
+                assert value(other).hex() == value(m).hex()
+                assert bracket(other) == bracket(m)
+                assert type(bracket(other).poly.coeffs[0]) is int
+
+    @pytest.mark.parametrize("value, bracket", [(beta, beta_bracket),
+                                                (gamma, gamma_bracket)])
+    def test_a_float_m_is_rejected_before_any_work(self, value, bracket):
+        bracket(9)  # a float equal to a cached m must still miss
+        bounds._block.cache_clear()
+        for f in (value, bracket):
+            for m in (9.0, 1e20, float("nan")):
+                with pytest.raises(TypeError):
+                    f(m)
+        assert bounds._block.cache_info().currsize == 0
+
+    def test_the_domain_messages(self):
+        for f in (beta, beta_bracket):
+            for m in (4, np.int64(4), -10 ** 30):
+                with pytest.raises(BoundsError, match=r"^beta needs m >= 5$"):
+                    f(m)
+        for f in (gamma, gamma_bracket):
+            for m in (6, np.int64(6), 0):
+                with pytest.raises(BoundsError,
+                                   match=r"^gamma needs m >= 7$"):
+                    f(m)
+
+
 class TestRootBetweenSqrts:
     """`RootBracket.root_between_sqrts(s, t)` decides sqrt(s) < r <= sqrt(t)
     in integers, for the root r the bracket certifies."""
@@ -578,9 +629,9 @@ PINNED_BRACKETS = {
 
 
 class TestRowKernel:
-    """beta and gamma brackets are rows of cached blocks of m, [2^k,
-    2^(k+1)) capped at _BLOCK_ROWS rows, which the row kernel bisects in
-    one call; a row's bracket must not depend on the rows beside it."""
+    """beta and gamma brackets are rows of cached blocks of _BLOCK_ROWS
+    aligned m, which the row kernel bisects in one call; a row's bracket
+    must not depend on the rows beside it."""
 
     @pytest.mark.parametrize("m", sorted(PINNED_BRACKETS))
     def test_pinned_brackets(self, m):
@@ -611,15 +662,17 @@ class TestRowKernel:
         assert stepped == 217
 
     def test_the_sweep_builds_one_block_per_family(self):
-        """m = 9 and 10 read the 8-row block [8, 16) of each family."""
+        """m = 9 and 10 read the blocks [5, 1024) of beta and [7, 1024) of
+        gamma."""
         bounds._block.cache_clear()
         for m in (9, 10):
             bounds.beta_bracket.__wrapped__(m)
             bounds.gamma_bracket.__wrapped__(m)
         info = bounds._block.cache_info()
         assert (info.misses, info.hits) == (2, 2)
-        for family in (bounds._BETA, bounds._GAMMA):
-            assert [len(ends) for ends in bounds._block(family, 8)] == [8, 8]
+        for family, rows in ((bounds._BETA, 1019), (bounds._GAMMA, 1017)):
+            assert [len(ends) for ends in bounds._block(family, 0)] == [
+                rows, rows]
 
     def test_no_float_form_is_one_row(self, exact_calls):
         """At m = 10^20 no coefficient is an exact double, so every sign is
