@@ -39,11 +39,11 @@ def as_lists(levels):
 
 
 @pytest.mark.parametrize("certifier, args, growth", [
-    (certify.certify_nosal, (12,), ("edge", (True, False, None))),
-    (certify.certify_thm15, (13,), ("odd-conn", (True, False, None))),
-    (certify.certify_main, (15,), ("odd-conn", (True, True, None))),
-    (certify.certify_conj51, (15, 3), ("odd-conn", (False, False, 9))),
-    (certify.certify_erdos, (8,), ("vertex-conn", True)),
+    (certify.certify_nosal, (12,), ("edge", (5, False))),
+    (certify.certify_thm15, (13,), ("odd-conn", (5, False))),
+    (certify.certify_main, (15,), ("odd-conn", (7, False))),
+    (certify.certify_conj51, (15, 3), ("odd-conn", (9, False))),
+    (certify.certify_erdos, (8,), ("vertex-conn", (5, False))),
 ], ids=["nosal-12", "thm15-13", "main-15", "conj51-15-k3", "erdos-8"])
 def test_the_top_at_the_budget_equals_a_labelled_build(
         monkeypatch, fresh_levels, certifier, args, growth):

@@ -6,12 +6,12 @@ exhaustive generation", J. Algorithms 1998): a graph is accepted only from its
 canonical parent, the graph left by deleting its canonical last piece, so each
 isomorphism class is generated once and the parents of a level are
 independent shards.  The edge-indexed enumeration adds one edge at a time (no
-isolated vertices ever appear); hereditary class constraints (triangle-free,
-C5-free, bounded odd girth) prune during growth, which is exact for a
-hereditary class.  A non-bipartite class is grown on its own, from the odd
-cycles its pruning allows, with the edges whose deletion leaves an odd
-cycle as the pieces, so no bipartite class is ever built.  A connected class
-is grown on its own too, from K2 (or the odd cycles, or K1 for the
+isolated vertices ever appear).  Both growths prune the hereditary class of
+prune key (g, c5), no odd cycle shorter than g and for g = 3 no C5 if c5, by
+one exact walk rule (`_walks`).  A non-bipartite class is grown on its own,
+from the odd cycles its pruning allows, with the edges whose deletion leaves
+an odd cycle as the pieces, so no bipartite class is ever built.  A connected
+class is grown on its own too, from K2 (or the odd cycles, or K1 for the
 vertex-indexed levels), with the pieces whose deletion leaves it connected.
 So every growth builds exactly its class, and no filter runs after it: a
 certifier enumerates, computes spectra and gives its verdict.  Each piece
@@ -330,41 +330,40 @@ def _edge_rank(x: int, y: int) -> int:
 # edge-indexed enumeration
 # ---------------------------------------------------------------------------
 
-_PruneKey = tuple[bool, bool, int | None]
+_PruneKey = tuple[int, bool]
 
 
 def _prune_key(f: ClassFilter) -> _PruneKey:
-    """One key per pruned class, so equal classes share their levels.  Odd
-    girth >= g forbids the odd cycles shorter than g: g >= 5 is triangle-free
-    and g >= 7 is also C5-free.  From g = 9 (rounded up to odd) the walk test
-    alone forbids C3 and C5 as well."""
-    g = (f.odd_girth_min or 0) | 1
-    if g >= 9:
-        return (False, False, g)
-    return (f.triangle_free or g >= 5, f.c5_free or g >= 7, None)
+    """One key (g, c5) per pruned class, so equal classes share their
+    levels: no odd cycle shorter than g (odd, >= 3; triangle-free is 5,
+    {C3,C5}-free is 7), and no C5 if c5, set only with g = 3."""
+    g = max((f.odd_girth_min or 0) | 1, 5 if f.triangle_free else 3)
+    if f.c5_free and g == 5:
+        g = 7
+    return g, f.c5_free and g == 3
 
 
-def _edge_allowed(g: Graph, u: int, v: int, key: _PruneKey) -> bool:
-    tf, c5f, ogm = key
-    if tf and g.mask(u) & g.mask(v):
-        return False
-    if c5f and _edge_on_c5(g, u, v):
-        return False
-    if ogm:
-        # an even u-v walk of length <= ogm-3 would close an odd cycle < ogm
-        reach = 1 << u
-        target = 1 << v
-        for step in range(1, ogm - 2):
-            nxt = 0
-            r = reach
-            while r:
-                w = (r & -r).bit_length() - 1
-                r &= r - 1
-                nxt |= g.mask(w)
-            reach = nxt
-            if step % 2 == 0 and reach & target:
-                return False
-    return True
+def _reach(masks: Sequence[int], r: int) -> int:
+    """The vertices joined by an edge to a vertex of the set r."""
+    out = 0
+    while r:
+        w = (r & -r).bit_length() - 1
+        r &= r - 1
+        out |= masks[w]
+    return out
+
+
+def _walks(masks: Sequence[int], first: int, last: int) -> list[int]:
+    """For each vertex u, the vertices joined to u by a walk of length
+    first, first + 2, ..., last (first >= 1; none if last < first).  A walk
+    can go back and forth along its last edge, so each walk set holds the
+    one two steps shorter: the union is the set of length last, which stops
+    growing after n steps of two.  The growths prune by these sets exactly,
+    since an odd closed walk holds an odd cycle no longer than itself."""
+    walks = [1 << u if first <= last else 0 for u in range(len(masks))]
+    for _ in range(first + min(last - first, 2 * len(masks))):
+        walks = [_reach(masks, r) for r in walks]
+    return walks
 
 
 def _edge_growth(g: Graph, key: _PruneKey,
@@ -376,15 +375,18 @@ def _edge_growth(g: Graph, key: _PruneKey,
     order.  A connected growth never adds e as a new K2 component.  In h,
     a and b each gain a neighbour, and the neighbour-degree sum of each of
     their old neighbours rises by one.  The masks of h are built when
-    `allowed` is first asked about one of its edges."""
+    `allowed` is first asked about one of its edges.  For the key (g, c5),
+    an even u-v walk of length 2..g-3 shuts uv, and for c5 a C5 through uv."""
     n = g.n
+    girth, c5 = key
+    shut = [m | w for m, w in zip(g._masks, _walks(g._masks, 2, girth - 3))]
     masks = g._masks + (0, 0)
     inv = _vertex_ranks(g) + [0, 0]
     ranked = sorted((_edge_rank(inv[u], inv[v]), u, v) for u, v in g.edges)
     ranks = [r for r, _, _ in ranked]
     pairs = chain(
         ((u, v) for u in range(n) for v in range(u + 1, n)
-         if not masks[u] >> v & 1 and _edge_allowed(g, u, v, key)),
+         if not shut[u] >> v & 1 and not (c5 and _edge_on_c5(g, u, v))),
         ((u, n) for u in range(n)),
         () if connected else ((n, n + 1),))
     for a, b in pairs:
@@ -467,7 +469,7 @@ def _keeps_connected_odd_cycle(masks: Sequence[int], e: Edge) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_growth(g: Graph, triangle_free: bool,
+def _vertex_growth(g: Graph, key: _PruneKey,
                    allowed: Callable[[Sequence[int], int], bool]
                    = _every_piece,
                    connected: bool = False
@@ -478,19 +480,21 @@ def _vertex_growth(g: Graph, triangle_free: bool,
     of S gains the neighbour k of degree |S|, and the neighbour-degree sum
     of every old vertex rises by its number of neighbours in S.  The masks
     of h are built when `allowed` is first asked about one of its
-    vertices."""
+    vertices.  S never holds both ends of an odd walk of length 1..g-4.
+    No vertex growth sets c5."""
     k = g.n
     masks = g._masks
+    odd = _walks(masks, 1, key[0] - 4)
     inv = _vertex_ranks(g)
     ranked = sorted(zip(inv, range(k)))
     ranks = [r for r, _ in ranked]
     # the rank of k is a sum over S, so each S extends S minus its lowest
-    # vertex; -1 marks an S with an edge inside when that makes a triangle
+    # vertex; -1 marks an S that holds both ends of such a walk
     new_rank = [0] * (1 << k)
     for nb in range(1, 1 << k):
         v = (nb & -nb).bit_length() - 1
         rest = new_rank[nb & (nb - 1)]
-        new_rank[nb] = -1 if rest < 0 or triangle_free and masks[v] & nb \
+        new_rank[nb] = -1 if rest < 0 or odd[v] & nb \
             else rest + _DEG_ONE + masks[v].bit_count() + 1
     for nb, mine in enumerate(new_rank):
         if mine < 0 or connected and not nb:
@@ -536,10 +540,10 @@ def _not_a_cut_vertex(masks: Sequence[int], v: int) -> bool:
 # levels: one store and one growth loop for both enumerations
 # ---------------------------------------------------------------------------
 
-# growth -> levels.  A growth is ("edge", prune key) for the full pruned
-# class, ("odd", prune key) for its non-bipartite classes, grown from odd
-# cycles, ("vertex", triangle_free) for the vertex-indexed levels, or one of
-# these with "-conn" for its connected classes ("conn" for "edge").
+# growth -> levels.  A growth is (kind, prune key): "edge" for the full
+# pruned class, "odd" for its non-bipartite classes, grown from odd cycles,
+# "vertex" for its vertex-indexed levels, or one of these with "-conn" for
+# its connected classes ("conn" for "edge").
 # levels[k] lists (canonical form, graph) for the classes with k edges (k
 # vertices for "vertex"): the children that the classes of level k-1 accept
 # as their canonical parent, and the roots of level k.  Every level below
@@ -550,7 +554,7 @@ def _not_a_cut_vertex(masks: Sequence[int], v: int) -> bool:
 # whose parents need them, or a labelled read (_levels_up_to).  Either
 # passes a level to _union only while it is not `_labelled`, and a
 # `_labelled` level is what _union would return, so none passes it twice.
-_Growth = tuple[str, object]
+_Growth = tuple[str, _PruneKey]
 _Level = list[tuple[bytes | None, Graph]]
 
 _LEVELS: dict[_Growth, list[_Level]] = {}
@@ -574,29 +578,29 @@ def _grow(growth: _Growth, parents: list[tuple[bytes | None, Graph]]
           ) -> tuple[list[bytes], list[tuple[bytes | None, Graph]]]:
     """The forms of a block of parents and the children that accept them
     (see _children)."""
-    kind, arg = growth
+    kind, key = growth
     allowed = _PIECES[kind]
     connected = kind.endswith("conn")
     if kind.startswith("vertex"):
         return _children(
-            parents, lambda g: _vertex_growth(g, arg, allowed, connected),
+            parents, lambda g: _vertex_growth(g, key, allowed, connected),
             _drop_vertex, allowed)
     return _children(
-        parents, lambda g: _edge_growth(g, arg, allowed, connected),
+        parents, lambda g: _edge_growth(g, key, allowed, connected),
         _drop_edge, allowed)
 
 
 def _roots(growth: _Growth, k: int) -> list[tuple[bytes, Graph]]:
     """The classes of level k that have no canonical parent: K2 (edge) or
-    K1 (vertex) at k = 1, and the odd cycle C_k (non-bipartite) when the key
-    allows closing the path P_k into it.
+    K1 (vertex) at k = 1, and the odd cycle C_k (non-bipartite) when the
+    key (g, c5) allows it: k >= g, and k != 5 for c5.
 
     Every non-bipartite class other than an odd cycle has an edge whose
     deletion leaves it non-bipartite (any edge off one odd cycle), so those
     edges are its pieces and its canonical parent is non-bipartite."""
-    kind, arg = growth
+    kind, (girth, c5) = growth
     if kind.startswith("odd"):
-        closes = k >= 3 and k % 2 and _edge_allowed(path(k), 0, k - 1, arg)
+        closes = k % 2 and k >= girth and not (c5 and k == 5)
         roots = [cycle(k)] if closes else []
     elif k == 1:
         roots = [Graph(1, ()) if kind.startswith("vertex") else path(2)]
@@ -670,17 +674,12 @@ def edge_budget(filt: ClassFilter) -> int:
     """Largest m that `enumerate_graphs` accepts for this filter.
 
     Non-bipartite classes grow from odd cycles, and the longer the shortest
-    odd cycle their pruning allows, the smaller their levels, so triangle-
-    free, {C3,C5}-free and odd girth >= 9 classes go further than
-    EDGE_BUDGET.  Every other filter builds full levels and keeps it."""
+    odd cycle g their pruning allows, the smaller their levels, so g >= 5
+    goes further than EDGE_BUDGET, which every other filter keeps."""
     if not filt.non_bipartite:
         return EDGE_BUDGET
-    triangle_free, c5_free, odd_girth_min = _prune_key(filt)
-    if odd_girth_min:
-        return 15
-    if triangle_free:
-        return 15 if c5_free else 13
-    return EDGE_BUDGET
+    g, _ = _prune_key(filt)
+    return 13 if g == 5 else 15 if g >= 7 else EDGE_BUDGET
 
 
 def _checked_growth(m: int, filt: ClassFilter, jobs: int) -> _Growth:
@@ -707,7 +706,8 @@ def _checked_vertex_growth(n: int, triangle_free: bool,
         raise GraphError("needs n >= 1")
     if n > VERTEX_BUDGET:
         raise BudgetError(f"vertex budget is n <= {VERTEX_BUDGET}")
-    return "vertex-conn" if connected else "vertex", triangle_free
+    return ("vertex-conn" if connected else "vertex",
+            _prune_key(ClassFilter(triangle_free=triangle_free)))
 
 
 def enumerate_graphs(m: int, filt: ClassFilter = ClassFilter(),

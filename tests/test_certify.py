@@ -127,6 +127,19 @@ class TestEnumeration:
                         if f.admits(g)]
             assert grown == admitted, m
 
+    def test_a_huge_odd_girth_prunes_at_once(self):
+        # the walk sets stop growing within n steps of two, so a huge odd
+        # girth costs what g = 101 costs; a rule that walks g - 3 steps per
+        # pair meets the child's timeout
+        code = ("import json\n"
+                "from specbound.certify import ClassFilter, enumerate_graphs\n"
+                "from specbound.graphs import canonical_form\n"
+                "print(json.dumps([[canonical_form(g).decode() for g in\n"
+                "    enumerate_graphs(6, ClassFilter(odd_girth_min=m))]\n"
+                "    for m in (10**7 + 1, 101)]))\n")
+        huge, small = run_child(code)
+        assert huge == small and len(small) == 43
+
     def test_odd_girth_lane_matches_flags(self):
         a = ClassFilter(triangle_free=True, c5_free=True)
         b = ClassFilter(odd_girth_min=7)
@@ -138,14 +151,14 @@ class TestEnumeration:
     def test_equivalent_filters_share_a_prune_key(self):
         key = certify._prune_key
         assert key(ClassFilter(odd_girth_min=5)) == key(
-            ClassFilter(triangle_free=True)) == (True, False, None)
+            ClassFilter(triangle_free=True)) == (5, False)
         assert key(ClassFilter(odd_girth_min=7)) == key(
-            ClassFilter(triangle_free=True, c5_free=True)) == (True, True, None)
+            ClassFilter(triangle_free=True, c5_free=True)) == (7, False)
         assert key(ClassFilter(odd_girth_min=3)) == key(ClassFilter())
         assert key(ClassFilter(odd_girth_min=4)) == key(
             ClassFilter(triangle_free=True))
         assert key(ClassFilter(odd_girth_min=8)) == key(
-            ClassFilter(triangle_free=True, odd_girth_min=9)) == (False, False, 9)
+            ClassFilter(triangle_free=True, odd_girth_min=9)) == (9, False)
         assert key(ClassFilter(c5_free=True)) != key(
             ClassFilter(triangle_free=True))
 
@@ -193,7 +206,7 @@ class TestEnumeration:
         assert serial == parallel
 
     def test_pool_levels_match_serial(self, fresh_levels, pool_starts):
-        growth = ("edge", (True, False, None))
+        growth = ("edge", (5, False))
         pooled = certify._levels_up_to(7, growth, jobs=2)
         fresh_levels()
         serial = certify._levels_up_to(7, growth)
@@ -205,7 +218,7 @@ class TestEnumeration:
                                   non_bipartite):
         # the pool lives as long as the level store: the second build
         # reuses the pool that the first one started
-        growth = ("odd" if non_bipartite else "edge", (True, False, None))
+        growth = ("odd" if non_bipartite else "edge", (5, False))
 
         def fresh_build(jobs):
             fresh_levels()
@@ -218,7 +231,7 @@ class TestEnumeration:
 
     def test_another_worker_count_replaces_the_pool(self, fresh_levels,
                                                     pool_starts):
-        growth = ("edge", (True, False, None))
+        growth = ("edge", (5, False))
         certify._levels_up_to(7, growth, jobs=2)
         fresh_levels()
         certify._levels_up_to(7, growth, jobs=3)
@@ -234,7 +247,7 @@ class TestEnumeration:
                                              pool_starts):
         from concurrent.futures.process import BrokenProcessPool
 
-        growth = ("edge", (True, False, None))
+        growth = ("edge", (5, False))
         certify._levels_up_to(7, growth, jobs=2)
         broken = certify._start_pool(2)
         assert len(broken._processes) == 2
@@ -279,9 +292,9 @@ class TestEnumeration:
         monkeypatch.setattr(certify, "_grow", counting_grow)
         assert build() == built
         assert grown == set(built)
-        assert built["edge", (True, False, None)][1] == [
+        assert built["edge", (5, False)][1] == [
             canonical_form(path(2))]
-        assert built["vertex", True][1] == [canonical_form(Graph(1, ()))]
+        assert built["vertex", (5, False)][1] == [canonical_form(Graph(1, ()))]
         # the first odd cycle each key allows is the first root
         for filt, k in zip(odd, (5, 7, 9)):
             levels = built["odd", certify._prune_key(filt)]
@@ -342,7 +355,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(certify, "canonical_form", counting_form)
         list(enumerate_graphs(9, ClassFilter(triangle_free=True)))
-        classes = sum(map(len, certify._LEVELS["edge", (True, False, None)]))
+        classes = sum(map(len, certify._LEVELS["edge", (5, False)]))
         assert len(calls) <= 4 * classes
 
     def test_non_bipartite_pool_levels_match_serial(self, fresh_levels,
@@ -370,7 +383,7 @@ class TestEnumeration:
         monkeypatch.setattr(certify, "canonical_form", counting_form)
         list(enumerate_graphs(10, ClassFilter(triangle_free=True,
                                               non_bipartite=True)))
-        levels = certify._LEVELS["odd", (True, False, None)]
+        levels = certify._LEVELS["odd", (5, False)]
         classes = sum(map(len, levels))
         assert classes == 1 + 2 + 9 + 28 + 107 + 379
         assert len(calls) <= 4 * classes
@@ -809,18 +822,18 @@ class TestUnlabelledTop:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("growth, top", [
-        (("edge", (True, False, None)), 9),
-        (("conn", (True, False, None)), 9),
-        (("edge", (False, False, None)), 7),
-        (("conn", (False, False, None)), 7),
-        (("odd", (True, False, None)), 10),
-        (("odd-conn", (True, False, None)), 10),
-        (("odd", (True, True, None)), 11),
-        (("odd-conn", (True, True, None)), 11),
-        (("vertex", True), 7),
-        (("vertex-conn", True), 7),
-        (("vertex", False), 7),
-        (("vertex-conn", False), 7),
+        (("edge", (5, False)), 9),
+        (("conn", (5, False)), 9),
+        (("edge", (3, False)), 7),
+        (("conn", (3, False)), 7),
+        (("odd", (5, False)), 10),
+        (("odd-conn", (5, False)), 10),
+        (("odd", (7, False)), 11),
+        (("odd-conn", (7, False)), 11),
+        (("vertex", (5, False)), 7),
+        (("vertex-conn", (5, False)), 7),
+        (("vertex", (3, False)), 7),
+        (("vertex-conn", (3, False)), 7),
     ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_labelled_later_equals_labelled_when_built(
             self, monkeypatch, fresh_levels, pool_starts, growth, top, jobs):
@@ -890,7 +903,7 @@ class TestUnlabelledTop:
         assert len(forms) == 267
         assert forms[0] == b"E]r?"
         assert forms == sorted(set(forms))
-        level = certify._LEVELS["edge", (True, False, None)][8]
+        level = certify._LEVELS["edge", (5, False)][8]
         assert [c for c, _ in level] == forms
 
     def test_promotion_gives_the_fresh_reports(self, fresh_levels):
@@ -902,8 +915,8 @@ class TestUnlabelledTop:
         assert reports((9, 10)) == reports((10, 9))
 
     @pytest.mark.parametrize("certifier, m, key", [
-        (certify_zhai_shu, 10, (True, False, None)),
-        (certify_main, 12, (True, True, None)),
+        (certify_zhai_shu, 10, (5, False)),
+        (certify_main, 12, (7, False)),
     ], ids=["zhai-shu", "main"])
     def test_fewer_labellings_than_classes(self, fresh_levels, certifier, m,
                                            key):

@@ -2,20 +2,22 @@
 
 The reference grows every augmentation of every class one level up and
 deduplicates by canonical form in one dictionary per level, the method the
-enumerators used before canonical augmentation.  It shares only the pruning
-rule (`_edge_allowed`) and `canonical_form` with them, so equal canonical-form
-sets check the acceptance rule independently.  The non-bipartite levels,
-grown from odd cycles, are checked against the full levels filtered by
-`is_bipartite`, the connected levels against the full levels filtered by
-`is_connected`, and the class counts the certifiers take from the connected
-levels by the Euler transform against the sizes of the full levels.  Digests recorded from the earlier relabel-then-encode
-labelling pin `canonical_form` and the stored levels bit for bit, and the
-full-rank step-1 rule is kept here as the reference for the incremental one.
+enumerators used before canonical augmentation.  It keeps the children the
+class predicate `ClassFilter.admits` accepts and shares only `canonical_form`
+with them, so equal canonical-form sets check the pruning and acceptance
+rules independently.  The non-bipartite levels, grown from odd cycles, are
+checked against the full levels filtered by `is_bipartite`, the connected
+levels against the full levels filtered by `is_connected`, and the class
+counts the certifiers take from the connected levels by the Euler transform
+against the sizes of the full levels.  Digests recorded from the earlier
+relabel-then-encode labelling pin `canonical_form` and the stored levels bit
+for bit, and the full-rank step-1 rule is kept here as the reference for the
+incremental one.
 """
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import example, given
@@ -23,7 +25,6 @@ from hypothesis import example, given
 from specbound import certify
 from specbound.certify import (
     ClassFilter,
-    _edge_allowed,
     _euler,
     _every_piece,
     _keeps_connected,
@@ -50,7 +51,13 @@ MAX_M = 8
 MAX_N = 7
 
 
-def reference_edge_levels(m: int, key) -> list[set[bytes]]:
+def hereditary(filt: ClassFilter):
+    """The class predicate of the filter's pruned growth."""
+    return replace(filt, connected=False, non_bipartite=False).admits
+
+
+def reference_edge_levels(m: int, filt: ClassFilter) -> list[set[bytes]]:
+    admits = hereditary(filt)
     level = {canonical_form(path(2)): path(2)}
     out = [set(), set(level)]
     for _ in range(2, m + 1):
@@ -59,11 +66,12 @@ def reference_edge_levels(m: int, key) -> list[set[bytes]]:
             n = g.n
             kids = [Graph(n, g.edges + ((u, v),))
                     for u in range(n) for v in range(u + 1, n)
-                    if not g.has_edge(u, v) and _edge_allowed(g, u, v, key)]
+                    if not g.has_edge(u, v)]
             kids += [Graph(n + 1, g.edges + ((u, n),)) for u in range(n)]
             kids.append(Graph(n + 2, g.edges + ((n, n + 1),)))
             for h in kids:
-                grown.setdefault(canonical_form(h), h)
+                if admits(h):
+                    grown.setdefault(canonical_form(h), h)
         level = grown
         out.append(set(level))
     return out
@@ -84,6 +92,10 @@ def reference_vertex_levels(n: int, triangle_free: bool) -> list[set[bytes]]:
         level = grown
         out.append(set(level))
     return out
+
+
+def vertex_key(triangle_free: bool):
+    return _prune_key(ClassFilter(triangle_free=triangle_free))
 
 
 def describe(v) -> str:
@@ -110,7 +122,7 @@ NON_BIPARTITE_FILTERS = [
 def test_edge_levels_match_reference(filt):
     key = _prune_key(filt)
     levels = certify._levels_up_to(MAX_M, ("edge", key))
-    for m, want in enumerate(reference_edge_levels(MAX_M, key)):
+    for m, want in enumerate(reference_edge_levels(MAX_M, filt)):
         assert [c for c, _ in levels[m]] == sorted(want)
         assert all(canonical_form(g) == c for c, g in levels[m])
 
@@ -174,19 +186,36 @@ def test_connected_non_bipartite_levels_match_filtered_levels(filt, max_m):
 
 @pytest.mark.parametrize("triangle_free", [True, False])
 def test_connected_vertex_levels_match_filtered_levels(triangle_free):
+    key = vertex_key(triangle_free)
     certify.graphs_on_vertices(MAX_N, triangle_free)
-    full = certify._LEVELS["vertex", triangle_free]
+    full = certify._LEVELS["vertex", key]
     for n in range(1, MAX_N + 1):
         graphs = certify.graphs_on_vertices(n, triangle_free, connected=True)
         assert [(canonical_form(g), g.n, g.edges) for g in graphs] \
             == connected_part(full[n]), n
-    conn = certify._LEVELS["vertex-conn", triangle_free][:MAX_N + 1]
+    conn = certify._LEVELS["vertex-conn", key][:MAX_N + 1]
     full = full[:MAX_N + 1]
     assert _euler(sizes(conn))[1:] == sizes(full)[1:]
     bipartite = [sum(is_bipartite(g) for _, g in level) for level in full]
     # the certifiers count from the graphs of each level
-    graphs = certify._graph_levels(MAX_N, ("vertex-conn", triangle_free))
+    graphs = certify._graph_levels(MAX_N, ("vertex-conn", key))
     assert _euler(certify._bipartite_sizes(graphs))[1:] == bipartite[1:]
+
+
+# The vertex growth prunes an odd girth of 7 or more by the same walk rule
+# as the edge growth; no certifier reads those levels yet.
+
+
+@pytest.mark.parametrize("kind", ["vertex", "vertex-conn"])
+@pytest.mark.parametrize("girth", [7, 9])
+def test_odd_girth_vertex_levels_match_filtered_levels(kind, girth):
+    n = certify.VERTEX_BUDGET
+    filt = ClassFilter(connected=kind == "vertex-conn", odd_girth_min=girth)
+    grown = certify._levels_up_to(n, (kind, (girth, False)))
+    full = certify._levels_up_to(n, (kind, (3, False)))
+    for k in range(n + 1):
+        assert [c for c, _ in grown[k]] \
+            == [c for c, g in full[k] if filt.admits(g)], k
 
 
 @pytest.mark.parametrize("connected, everything", [
@@ -291,7 +320,7 @@ def test_canonical_forms_pinned():
 
 
 def test_edge_levels_pinned(fresh_levels):
-    levels = certify._levels_up_to(9, ("edge", (True, False, None)))
+    levels = certify._levels_up_to(9, ("edge", (5, False)))
     assert list(map(len, levels)) == [0, 1, 2, 4, 9, 19, 45, 105, 267, 702]
     assert digest(repr([[(c, g.n, g.edges) for c, g in level]
                         for level in levels]).encode()) \
@@ -300,7 +329,7 @@ def test_edge_levels_pinned(fresh_levels):
 
 def test_vertex_level_pinned(fresh_levels):
     graphs = certify.graphs_on_vertices(7)
-    level = certify._LEVELS["vertex", True][7]
+    level = certify._LEVELS["vertex", (5, False)][7]
     assert [g for _, g in level] == graphs and len(graphs) == 107
     assert digest(repr([(c, g.n, g.edges) for c, g in level])
                   .encode()) == VERTEX_LEVEL_7_DIGEST
@@ -358,12 +387,14 @@ def vertex_ranks(n: int, edges: tuple) -> dict:
     return dict(enumerate(vertex_invariants(n, edges)))
 
 
-def edge_augmentations(g: Graph, key):
+def edge_augmentations(g: Graph, filt: ClassFilter):
+    admits = hereditary(filt)
     n = g.n
     for u in range(n):
         for v in range(u + 1, n):
-            if not g.has_edge(u, v) and _edge_allowed(g, u, v, key):
-                yield n, g.edges + ((u, v),), (u, v)
+            edges = g.edges + ((u, v),)
+            if not g.has_edge(u, v) and admits(Graph(n, edges)):
+                yield n, edges, (u, v)
     for u in range(n):
         yield n + 1, g.edges + ((u, n),), (u, n)
     yield n + 2, g.edges + ((n, n + 1),), (n, n + 1)
@@ -400,9 +431,9 @@ def reference_step_one(augmentations, ranks, allowed) -> list:
 @example(cycle(5))
 @example(disjoint_union(cycle(5), path(3)))
 def test_edge_step_one_matches_full_rank_rule(allowed, g):
-    key = (False, False, None)
-    want = reference_step_one(edge_augmentations(g, key), edge_ranks, allowed)
-    assert list(certify._edge_growth(g, key, allowed)) == want
+    filt = ClassFilter()
+    want = reference_step_one(edge_augmentations(g, filt), edge_ranks, allowed)
+    assert list(certify._edge_growth(g, _prune_key(filt), allowed)) == want
 
 
 @pytest.mark.parametrize("triangle_free", [False, True])
@@ -412,7 +443,7 @@ def test_edge_step_one_matches_full_rank_rule(allowed, g):
 def test_vertex_step_one_matches_full_rank_rule(triangle_free, g):
     want = reference_step_one(vertex_augmentations(g, triangle_free),
                               vertex_ranks, _every_piece)
-    assert list(certify._vertex_growth(g, triangle_free)) == want
+    assert list(certify._vertex_growth(g, vertex_key(triangle_free))) == want
 
 
 # A connected growth drops the augmentations that leave the child
@@ -427,10 +458,11 @@ def test_vertex_step_one_matches_full_rank_rule(triangle_free, g):
 @example(cycle(5))
 @example(disjoint_union(cycle(5), path(3)))
 def test_connected_edge_step_one_matches_full_rank_rule(allowed, g):
-    key = (False, False, None)
-    connected = [a for a in edge_augmentations(g, key) if a[0] <= g.n + 1]
+    filt = ClassFilter()
+    connected = [a for a in edge_augmentations(g, filt) if a[0] <= g.n + 1]
     want = reference_step_one(connected, edge_ranks, allowed)
-    assert list(certify._edge_growth(g, key, allowed, True)) == want
+    assert list(certify._edge_growth(g, _prune_key(filt), allowed, True)) \
+        == want
 
 
 @pytest.mark.parametrize("triangle_free", [False, True])
@@ -441,8 +473,8 @@ def test_connected_vertex_step_one_matches_full_rank_rule(triangle_free, g):
     connected = [a for a in vertex_augmentations(g, triangle_free)
                  if len(a[1]) > g.m]
     want = reference_step_one(connected, vertex_ranks, _not_a_cut_vertex)
-    assert list(certify._vertex_growth(g, triangle_free, _not_a_cut_vertex,
-                                       True)) == want
+    assert list(certify._vertex_growth(g, vertex_key(triangle_free),
+                                       _not_a_cut_vertex, True)) == want
 
 
 # The orbit step of `_children` (skip augmentations in the Aut(g)-orbit of an
@@ -474,13 +506,13 @@ def build_levels(monkeypatch, fresh_levels, orbits: bool, build
 
 def vertex_levels(n: int, triangle_free: bool) -> list:
     certify.graphs_on_vertices(n, triangle_free)
-    return certify._LEVELS["vertex", triangle_free]
+    return certify._LEVELS["vertex", vertex_key(triangle_free)]
 
 
 @pytest.mark.parametrize("build", [
-    lambda: certify._levels_up_to(9, ("edge", (True, False, None))),
-    lambda: certify._levels_up_to(8, ("edge", (False, False, None))),
-    lambda: certify._levels_up_to(11, ("odd", (True, True, None))),
+    lambda: certify._levels_up_to(9, ("edge", (5, False))),
+    lambda: certify._levels_up_to(8, ("edge", (3, False))),
+    lambda: certify._levels_up_to(11, ("odd", (7, False))),
     lambda: vertex_levels(7, True),
     lambda: vertex_levels(7, False),
 ], ids=["triangle-free", "all", "C3C5-free-non-bipartite", "vertex-triangle-free",

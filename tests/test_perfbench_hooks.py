@@ -91,7 +91,7 @@ def test_a_certifiers_top_is_labelled_through_the_module_global(
     # module global, so a traced run times that labelling too, and labels
     # only the classes the growth left without a form
     certify.certify_zhai_shu(9)
-    growth = ("odd-conn", (True, False, None))
+    growth = ("odd-conn", (5, False))
     top = list(certify._LEVELS[growth][9])  # the labelled read replaces it
     unlabelled = {id(g) for form, g in top if form is None}
     assert unlabelled and len(unlabelled) < len(top)
